@@ -9,6 +9,12 @@ cargo build --release
 echo "== tests"
 cargo test -q
 
+echo "== benchmark self-test"
+# The benchmark under perfbench/ is its own workspace built against this
+# repository's public API; its tests fail here, not at benchmark time,
+# when a change breaks an API it uses.
+cargo test --release --manifest-path perfbench/Cargo.toml
+
 echo "== rustfmt"
 cargo fmt --check
 
@@ -99,17 +105,17 @@ echo "-- packed-word disassembly stable across repeated dumps (10 apps x 3 opt l
 echo "== fuzz smoke"
 # Bounded differential fuzzing: the vendored proptest shim is seeded, so
 # this is deterministic; 64 cases across the Figure-9 apps must agree
-# between the AST walker, the bytecode executor at BOTH --opt=0 and
-# --opt=2 (an optimizer miscompile cannot hide behind an equally-wrong
-# lowering, and vice versa), and the sharded engine — the opt sweep is
-# inside the test itself (tests/tests/differential.rs).
+# between the AST walker and the bytecode executor at every opt level (an
+# optimizer miscompile cannot hide behind an equally-wrong lowering, and
+# vice versa) — the opt sweep is inside the test itself
+# (tests/tests/differential.rs).
 LUCID_FUZZ_CASES=64 cargo test -q -p lucid-tests --test differential
 
 echo "== sim gate"
 # Every checked-in scenario must run green against its app: the file
 # crates/apps/scenarios/<app>[.variant].sim.json pairs with
-# crates/apps/programs/<app>.lucid. Run each under both engines and both
-# handler executors.
+# crates/apps/programs/<app>.lucid. Run each under both handler
+# executors.
 shopt -s nullglob
 scenarios=(crates/apps/scenarios/*.sim.json)
 if [ "${#scenarios[@]}" -lt 8 ]; then
@@ -121,21 +127,19 @@ for sc in "${scenarios[@]}"; do
   app=${base%%.*}
   prog="crates/apps/programs/$app.lucid"
   # One run exactly as authored (no overrides), so scenario-pinned
-  # engine/exec/opt fields stay exercised end to end.
+  # exec/opt fields stay exercised end to end.
   echo "-- sim [authored] $sc"
   target/release/lucidc sim "$prog" "$sc"
-  for engine in sequential sharded; do
-    echo "-- sim [$engine/ast] $sc"
-    target/release/lucidc sim --engine="$engine" --exec=ast "$prog" "$sc"
-    # The bytecode executor runs at both ends of the optimizer pipeline:
-    # raw lowering and the full superinstruction + regalloc stack. Each
-    # run is fronted by the bytecode verifier, so the code that executes
-    # is the code the dataflow pass vouched for.
-    for opt in 0 2; do
-      echo "-- sim [$engine/bytecode/o$opt] $sc"
-      target/release/lucidc sim --engine="$engine" --exec=bytecode --opt="$opt" \
-        --verify-bytecode "$prog" "$sc"
-    done
+  echo "-- sim [ast] $sc"
+  target/release/lucidc sim --exec=ast "$prog" "$sc"
+  # The bytecode executor runs at both ends of the optimizer pipeline:
+  # raw lowering and the full superinstruction + regalloc stack. Each
+  # run is fronted by the bytecode verifier, so the code that executes
+  # is the code the dataflow pass vouched for.
+  for opt in 0 2; do
+    echo "-- sim [bytecode/o$opt] $sc"
+    target/release/lucidc sim --exec=bytecode --opt="$opt" \
+      --verify-bytecode "$prog" "$sc"
   done
 done
 
@@ -143,32 +147,30 @@ echo "== workload scale"
 # The generator subsystem's scale proof: rescale the bundled dns_flood
 # scenario past one million injected events with `--events` (the stream
 # is pulled lazily — no event vector is ever materialized) and require
-# both engines to agree on the final state digest AND the latency-metrics
-# digest (one mis-bucketed histogram sample in the sharded collector
-# fails here, not just state divergence). The sharded soak is pinned at
-# four workers, so a full worker pool exchanges a million events' worth
-# of cross-shard mail and still lands digest-for-digest on sequential.
+# the raw bytecode lowering (O0) and the full optimizer pipeline (O2) to
+# agree on the final state digest AND the latency-metrics digest (one
+# mis-bucketed histogram sample fails here, not just state divergence).
 flood_json() {
-  target/release/lucidc sim --engine="$1" "${@:2}" --exec=bytecode \
+  target/release/lucidc sim --exec=bytecode --opt="$1" \
     --events=1000000 --json \
     crates/apps/programs/dns_defense.lucid \
     crates/apps/scenarios/dns_defense.flood.sim.json
 }
-j_seq=$(flood_json sequential)
-j_sh=$(flood_json sharded --workers=4)
+j_o0=$(flood_json 0)
+j_o2=$(flood_json 2)
 state_of()   { printf '%s' "$1" | sed -n 's/.*"state_digest":"\([0-9a-f]*\)".*/\1/p'; }
 metrics_of() { printf '%s' "$1" | sed -n 's/.*"metrics":{"digest":"\([0-9a-f]*\)".*/\1/p'; }
-d_seq=$(state_of "$j_seq"); d_sh=$(state_of "$j_sh")
-m_seq=$(metrics_of "$j_seq"); m_sh=$(metrics_of "$j_sh")
-if [ -z "$d_seq" ] || [ "$d_seq" != "$d_sh" ]; then
-  echo "workload scale: engine digests differ at 1M events (seq=$d_seq sharded=$d_sh)" >&2
+d_o0=$(state_of "$j_o0"); d_o2=$(state_of "$j_o2")
+m_o0=$(metrics_of "$j_o0"); m_o2=$(metrics_of "$j_o2")
+if [ -z "$d_o0" ] || [ "$d_o0" != "$d_o2" ]; then
+  echo "workload scale: state digests differ at 1M events (o0=$d_o0 o2=$d_o2)" >&2
   exit 1
 fi
-if [ -z "$m_seq" ] || [ "$m_seq" != "$m_sh" ]; then
-  echo "workload scale: metrics digests differ at 1M events (seq=$m_seq sharded=$m_sh)" >&2
+if [ -z "$m_o0" ] || [ "$m_o0" != "$m_o2" ]; then
+  echo "workload scale: metrics digests differ at 1M events (o0=$m_o0 o2=$m_o2)" >&2
   exit 1
 fi
-echo "-- 1M-event dns_flood digests agree: state $d_seq, metrics $m_seq"
+echo "-- 1M-event dns_flood digests agree: state $d_o0, metrics $m_o0"
 
 echo "== serve gate"
 # The persistent-service invariant: a session served by the `lucidc
@@ -177,8 +179,8 @@ echo "== serve gate"
 # re-parsing), fed the missing events over `ingest`, advanced in
 # segments, snapshotted, restored into a *fresh* session, and drained —
 # must land on exactly the state and metrics digests of the equivalent
-# one-shot `lucidc sim` run, under both engines. The scripted client
-# drives the daemon over stdin/stdout, one JSON request per line.
+# one-shot `lucidc sim` run. The scripted client drives the daemon over
+# stdin/stdout, one JSON request per line.
 python3 - <<'EOF'
 import json, subprocess, sys
 
@@ -194,55 +196,51 @@ trunc["events"] = [e for e in full["events"] if e["time_ns"] < mid]
 trunc.pop("expect", None)
 late = [e for e in full["events"] if e["time_ns"] >= mid]
 
-for engine in ["sequential", "sharded"]:
-    one = subprocess.run(
-        [LUCIDC, "sim", f"--engine={engine}", "--json", PROG, SC],
-        capture_output=True, text=True)
-    assert one.returncode == 0, one.stderr
-    rep = json.loads(one.stdout)
-    want = (rep["state_digest"], rep["metrics"]["digest"])
+one = subprocess.run(
+    [LUCIDC, "sim", "--json", PROG, SC],
+    capture_output=True, text=True)
+assert one.returncode == 0, one.stderr
+rep = json.loads(one.stdout)
+want = (rep["state_digest"], rep["metrics"]["digest"])
 
-    daemon = subprocess.Popen(
-        [LUCIDC, "serve"], stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-        text=True)
+daemon = subprocess.Popen(
+    [LUCIDC, "serve"], stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+    text=True)
 
-    def ask(req):
-        daemon.stdin.write(json.dumps(req) + "\n")
-        daemon.stdin.flush()
-        reply = json.loads(daemon.stdout.readline())
-        assert reply.get("ok"), f"{engine}: {req.get('op')} failed: {reply}"
-        return reply
+def ask(req):
+    daemon.stdin.write(json.dumps(req) + "\n")
+    daemon.stdin.flush()
+    reply = json.loads(daemon.stdout.readline())
+    assert reply.get("ok"), f"{req.get('op')} failed: {reply}"
+    return reply
 
-    opts = {"engine": engine}
-    sc_doc = json.dumps(trunc)
-    ask({"op": "open", "program_path": PROG, "scenario": sc_doc,
-         "options": opts})
-    # Swap before any event runs: same source, so the daemon's cached
-    # build reconfigures (no re-parse) and the queued events remap 1:1.
-    swap = ask({"op": "swap", "session": 1, "program_path": PROG})
-    assert swap["queued_dropped"] == 0 and swap["arrays_reset"] == 0, swap
-    ask({"op": "ingest", "session": 1, "events": late})
-    ask({"op": "advance", "session": 1, "to_ns": mid})
-    snap = ask({"op": "snapshot", "session": 1})["bytes"]
-    # The snapshot transplants into a fresh session over the same
-    # program + scenario; the donor is closed undrained.
-    ask({"op": "open", "program_path": PROG, "scenario": sc_doc,
-         "options": opts})
-    ask({"op": "restore", "session": 2, "bytes": snap})
-    ask({"op": "close", "session": 1})
-    report = ask({"op": "drain", "session": 2})["report"]
-    got = (report["state_digest"], report["metrics"]["digest"])
-    shutdown = ask({"op": "shutdown"})
-    assert shutdown.get("shutdown") is True, shutdown
-    daemon.stdin.close()
-    assert daemon.wait(timeout=30) == 0, "daemon exit code"
+sc_doc = json.dumps(trunc)
+ask({"op": "open", "program_path": PROG, "scenario": sc_doc})
+# Swap before any event runs: same source, so the daemon's cached
+# build reconfigures (no re-parse) and the queued events remap 1:1.
+swap = ask({"op": "swap", "session": 1, "program_path": PROG})
+assert swap["queued_dropped"] == 0 and swap["arrays_reset"] == 0, swap
+ask({"op": "ingest", "session": 1, "events": late})
+ask({"op": "advance", "session": 1, "to_ns": mid})
+snap = ask({"op": "snapshot", "session": 1})["bytes"]
+# The snapshot transplants into a fresh session over the same
+# program + scenario; the donor is closed undrained.
+ask({"op": "open", "program_path": PROG, "scenario": sc_doc})
+ask({"op": "restore", "session": 2, "bytes": snap})
+ask({"op": "close", "session": 1})
+report = ask({"op": "drain", "session": 2})["report"]
+got = (report["state_digest"], report["metrics"]["digest"])
+shutdown = ask({"op": "shutdown"})
+assert shutdown.get("shutdown") is True, shutdown
+daemon.stdin.close()
+assert daemon.wait(timeout=30) == 0, "daemon exit code"
 
-    if got != want:
-        print(f"serve gate [{engine}]: served digests {got} != one-shot "
-              f"{want}", file=sys.stderr)
-        sys.exit(1)
-    print(f"-- serve gate [{engine}]: served session matches one-shot "
-          f"(state {got[0]}, metrics {got[1]})")
+if got != want:
+    print(f"serve gate: served digests {got} != one-shot {want}",
+          file=sys.stderr)
+    sys.exit(1)
+print(f"-- serve gate: served session matches one-shot "
+      f"(state {got[0]}, metrics {got[1]})")
 EOF
 
 echo "== bench smoke"
@@ -300,27 +298,14 @@ echo "== perf trajectory gate (BENCH_PR.json)"
 #   fig_workload_scale  bytecode_speedup >= 10.0  (measured ~11-13x; the
 #                       binary itself asserts the same floor)
 #   fig_workload_scale  min_events_per_sec >= 20000 (measured ~170k)
-#   fig_parallel_scale  speedup_w1 >= 0.93        (measured ~0.97-1.1:
-#                       at one worker the sharded engine runs a single
-#                       barrier-free round through the same scheduling
-#                       core as the sequential driver, so the true ratio
-#                       is parity; the bench reports the cleanest of its
-#                       interleaved warmed rounds, and the floor is a
-#                       backstop against a real machinery-cost
-#                       regression — the precise number is tracked via
-#                       BENCH_PR.json's trajectory)
 #   fig_serve_ingest    events_per_sec >= 20000   (measured ~40-45k: the
 #                       served rate includes per-request JSON parsing
 #                       and reply rendering on top of the engine)
-# fig_parallel_scale's scaling curve above one worker is recorded and
-# its monotonicity flagged, but not gated: this container is
-# single-core, so every extra worker is pure synchronization overhead.
 st_json=$(target/release/fig_sim_throughput --smoke --json)
 ws_json=$(target/release/fig_workload_scale --smoke --json)
-ps_json=$(target/release/fig_parallel_scale --smoke --json)
 sv_json=$(target/release/fig_serve_ingest --smoke --json)
-printf '{"fig_sim_throughput":%s,"fig_workload_scale":%s,"fig_parallel_scale":%s,"fig_serve_ingest":%s}\n' \
-  "$st_json" "$ws_json" "$ps_json" "$sv_json" > BENCH_PR.json
+printf '{"fig_sim_throughput":%s,"fig_workload_scale":%s,"fig_serve_ingest":%s}\n' \
+  "$st_json" "$ws_json" "$sv_json" > BENCH_PR.json
 json_check < BENCH_PR.json
 field() { # field <json> <key> — first numeric value of "key":N
   printf '%s' "$1" | sed -n "s/.*\"$2\":\([0-9.][0-9.]*\).*/\1/p" | head -n1
@@ -335,23 +320,7 @@ floor() { # floor <label> <value> <min>
 floor "fig_sim_throughput bytecode_speedup" "$(field "$st_json" bytecode_speedup)" 6.0
 floor "fig_workload_scale bytecode_speedup" "$(field "$ws_json" bytecode_speedup)" 10.0
 floor "fig_workload_scale min_events_per_sec" "$(field "$ws_json" min_events_per_sec)" 20000
-floor "fig_parallel_scale speedup_w1" "$(field "$ps_json" speedup_w1)" 0.93
 floor "fig_serve_ingest events_per_sec" "$(field "$sv_json" events_per_sec)" 20000
-# The monotone flag is only interpretable against the core count the
-# sweep actually had, so both are printed (and recorded) together: on a
-# single-core host a non-monotone curve is expected, on a multi-core
-# host it is a regression worth a look.
-host_par=$(field "$ps_json" available_parallelism)
-case "$ps_json" in
-  *'"monotone":true'*)
-    echo "-- fig_parallel_scale scaling curve is monotone" \
-         "(host available_parallelism: $host_par)" ;;
-  *)
-    echo "-- fig_parallel_scale scaling curve is NOT monotone (flagged," \
-         "expected with available_parallelism=$host_par on this host;" \
-         "curve recorded in BENCH_PR.json)" ;;
-esac
-
 # Render the latency-tail percentile rows human-readable next to the raw
 # JSON; the workflow uploads both, so a PR's tail latencies are one
 # click away without parsing BENCH_PR.json.

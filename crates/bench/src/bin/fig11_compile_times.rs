@@ -41,5 +41,8 @@ fn main() {
         "{}",
         lucid_bench::render_table(&["app", "paper dev. time", "our compile+check time"], &rows)
     );
-    println!("\nnote: the dev-time study is not reproducible in software (see EXPERIMENTS.md).");
+    println!(
+        "\nnote: the dev-time column is the paper's human study, which software cannot \
+         reproduce; compile+check time is the closest measurable proxy."
+    );
 }

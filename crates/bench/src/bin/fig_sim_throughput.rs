@@ -1,16 +1,12 @@
-//! Simulation throughput: the engine x executor matrix on a
-//! cross-traffic-heavy 16-switch mesh (not a paper figure — it
+//! Simulation throughput: the AST walker against the bytecode executor
+//! on a cross-traffic-heavy 16-switch mesh (not a paper figure — it
 //! benchmarks this reproduction's own `lucidc sim` subsystem).
 //!
-//! Correctness gate first: all four combinations (sequential/sharded
-//! engine x AST-walker/bytecode executor) must produce byte-identical
+//! Correctness gate first: both executors must produce byte-identical
 //! final array state, statistics, traces, printf output, and
-//! per-event-class latency metrics. Then
-//! events/sec. Two speedups are reported: sharded-over-sequential
-//! reflects the host's core count (~1x on single-core boxes), while
-//! bytecode-over-AST is the flat-dispatch payoff and must be >= 2x
-//! everywhere — CI runs this binary in smoke mode and this assertion is
-//! the gate.
+//! per-event-class latency metrics. Then events/sec: bytecode-over-AST
+//! is the flat-dispatch payoff and must be >= 2x everywhere — CI runs
+//! this binary in smoke mode and this assertion is the gate.
 
 fn main() {
     let mode = lucid_bench::BenchMode::from_args();
@@ -19,10 +15,10 @@ fn main() {
     } else {
         (16, 400, 4)
     };
-    let t = lucid_bench::sim_throughput(switches, injected, ttl, 0);
+    let t = lucid_bench::sim_throughput(switches, injected, ttl);
     assert!(
         t.identical,
-        "engine x exec combinations disagree on state/stats/trace/output/metrics — determinism bug"
+        "executors disagree on state/stats/trace/output/metrics — determinism bug"
     );
     assert!(
         t.bytecode_speedup >= 2.0,
@@ -37,7 +33,6 @@ fn main() {
             .iter()
             .map(|r| {
                 jsonout::obj(&[
-                    ("engine", jsonout::s(r.engine)),
                     ("exec", jsonout::s(r.exec)),
                     ("events_processed", r.events_processed.to_string()),
                     ("wall_ms", jsonout::f(r.wall_ms)),
@@ -47,13 +42,10 @@ fn main() {
             .collect();
         let doc = format!(
             "{{\"figure\":\"fig_sim_throughput\",\"switches\":{},\"injected_per_switch\":{},\
-             \"workers\":{},\"identical\":{},\"speedup\":{},\"bytecode_speedup\":{},\
-             \"latency_tail\":{},\"rows\":[{}]}}",
+             \"identical\":{},\"bytecode_speedup\":{},\"latency_tail\":{},\"rows\":[{}]}}",
             t.switches,
             t.injected_per_switch,
-            t.workers,
             t.identical,
-            jsonout::f(t.speedup),
             jsonout::f(t.bytecode_speedup),
             t.tail.to_json(),
             rows.join(",")
@@ -63,15 +55,14 @@ fn main() {
     }
 
     println!(
-        "Simulation throughput — {} switches, {} injected events/switch, {} workers\n",
-        t.switches, t.injected_per_switch, t.workers
+        "Simulation throughput — {} switches, {} injected events/switch\n",
+        t.switches, t.injected_per_switch
     );
     let rows: Vec<Vec<String>> = t
         .rows
         .iter()
         .map(|r| {
             vec![
-                r.engine.to_string(),
                 r.exec.to_string(),
                 r.events_processed.to_string(),
                 format!("{:.1}", r.wall_ms),
@@ -81,22 +72,15 @@ fn main() {
         .collect();
     print!(
         "{}",
-        lucid_bench::render_table(
-            &["engine", "exec", "events", "wall ms", "events/sec"],
-            &rows
-        )
+        lucid_bench::render_table(&["exec", "events", "wall ms", "events/sec"], &rows)
     );
     println!(
-        "\nstate/stats/trace/printf/metrics identical across the matrix: {}",
+        "\nstate/stats/trace/printf/metrics identical across executors: {}",
         t.identical
     );
     println!("{}", t.tail.render());
     println!(
-        "bytecode speedup over the AST walker: {:.2}x (sequential engine)",
+        "bytecode speedup over the AST walker: {:.2}x",
         t.bytecode_speedup
-    );
-    println!(
-        "sharded speedup: {:.2}x ({} worker threads; expect ~1x on single-core hosts)",
-        t.speedup, t.workers
     );
 }

@@ -21,9 +21,7 @@
 
 use lucid_apps::AppInfo;
 use lucid_backend::P4Loc;
-use lucid_core::{
-    Build, Compiler, Engine, ExecMode, Interp, LayoutOptions, NetConfig, PipelineSpec,
-};
+use lucid_core::{Build, Compiler, ExecMode, Interp, LayoutOptions, NetConfig, PipelineSpec};
 use lucid_tofino::{ecdf, figure16_rows, DelayQueue, RecircPort, RemoteControlModel, SfwModelRow};
 use std::time::Instant;
 
@@ -364,8 +362,7 @@ pub fn figure17(trials: usize, seed: u64) -> Fig17 {
 
 /// The mesh workload of the `fig_sim_throughput` benchmark: every packet
 /// updates a per-switch sketch, recirculates a decremented copy, and
-/// forwards a mixed copy to a hash-picked neighbor — cross-traffic heavy
-/// enough that the sharded engine's epoch barriers actually matter.
+/// forwards a mixed copy to a hash-picked neighbor.
 fn mesh_workload(switches: u64) -> String {
     assert!(
         switches.is_power_of_two(),
@@ -461,71 +458,41 @@ impl LatencyTail {
     }
 }
 
-/// One engine x executor combination's measurement on the mesh workload.
+/// One executor's measurement on the mesh workload.
 #[derive(Debug, Clone)]
 pub struct SimThroughputRow {
-    pub engine: &'static str,
     pub exec: &'static str,
     pub events_processed: u64,
     pub wall_ms: f64,
     pub events_per_sec: f64,
 }
 
-/// The engine x executor comparison `fig_sim_throughput` prints.
+/// The executor comparison `fig_sim_throughput` prints.
 #[derive(Debug, Clone)]
 pub struct SimThroughput {
     pub switches: u64,
     pub injected_per_switch: u64,
-    pub workers: usize,
-    /// One row per engine x exec combination, sequential/ast first.
+    /// One row per executor, ast first.
     pub rows: Vec<SimThroughputRow>,
     /// Final array state, statistics, trace, and printf output were
-    /// byte-identical across every combination (the correctness gate
-    /// for the comparison).
+    /// byte-identical across both executors (the correctness gate for
+    /// the comparison).
     pub identical: bool,
-    /// Sharded events/sec over sequential events/sec (AST executor).
-    pub speedup: f64,
-    /// Bytecode events/sec over AST events/sec (sequential engine) —
-    /// the flat-dispatch payoff; CI requires >= 2x.
+    /// Bytecode events/sec over AST events/sec — the flat-dispatch
+    /// payoff; CI requires >= 2x.
     pub bytecode_speedup: f64,
     /// The workload's overall latency tail; the metrics digest inside it
     /// is part of the cross-combination identity check.
     pub tail: LatencyTail,
 }
 
-/// Run the mesh workload under every engine x executor combination and
-/// compare. `workers == 0` means one per core. Deterministic: all four
-/// combinations must produce identical final array state, statistics,
-/// traces, and printf output.
-pub fn sim_throughput(
-    switches: u64,
-    injected_per_switch: u64,
-    ttl: u64,
-    workers: usize,
-) -> SimThroughput {
+/// Run the mesh workload under both executors and compare.
+/// Deterministic: both must produce identical final array state,
+/// statistics, traces, and printf output.
+pub fn sim_throughput(switches: u64, injected_per_switch: u64, ttl: u64) -> SimThroughput {
     let src = mesh_workload(switches);
     let prog = lucid_core::check::parse_and_check(&src).expect("workload checks");
-    let combos = [
-        ("sequential", Engine::Sequential, ExecMode::Ast),
-        ("sequential", Engine::Sequential, ExecMode::Bytecode),
-        (
-            "sharded",
-            Engine::Sharded {
-                workers,
-                epoch_ns: 0,
-            },
-            ExecMode::Ast,
-        ),
-        (
-            "sharded",
-            Engine::Sharded {
-                workers,
-                epoch_ns: 0,
-            },
-            ExecMode::Bytecode,
-        ),
-    ];
-    /// Everything a combination's run leaves observable.
+    /// Everything an executor's run leaves observable.
     type Observed = (
         Vec<Vec<u64>>,
         lucid_core::interp::Stats,
@@ -537,19 +504,18 @@ pub fn sim_throughput(
     let mut tail: Option<LatencyTail> = None;
     // Only the first trial's snapshot is retained; every later one is
     // compared against it and dropped (full mode holds ~100k trace
-    // entries per snapshot — keeping all eight alive at once would be
+    // entries per snapshot — keeping all four alive at once would be
     // most of the bench's memory).
     let mut reference: Option<Observed> = None;
     let mut identical = true;
-    for (label, engine, exec) in combos {
-        // Best of two trials per combination: wall-clock throughput on a
+    for exec in [ExecMode::Ast, ExecMode::Bytecode] {
+        // Best of two trials per executor: wall-clock throughput on a
         // shared box is noisy, and the CI perf gate floors ratios of
         // these rows. Both trials must also observe identical results —
         // a free same-config determinism check.
         let mut best: Option<SimThroughputRow> = None;
         for _ in 0..2 {
             let mut cfg = NetConfig::mesh(switches);
-            cfg.engine = engine;
             cfg.exec = exec;
             let mut sim = Interp::new(&prog, cfg);
             for s in 1..=switches {
@@ -562,7 +528,6 @@ pub fn sim_throughput(
             sim.run(u64::MAX, u64::MAX).expect("workload quiesces");
             let wall = t0.elapsed().as_secs_f64();
             let row = SimThroughputRow {
-                engine: label,
                 exec: exec.label(),
                 events_processed: sim.stats.processed,
                 wall_ms: wall * 1e3,
@@ -596,18 +561,9 @@ pub fn sim_throughput(
         }
         rows.push(best.expect("at least one trial"));
     }
-    let actual_workers = if workers == 0 {
-        std::thread::available_parallelism()
-            .map_or(1, std::num::NonZeroUsize::get)
-            .min(switches as usize)
-    } else {
-        workers
-    };
     SimThroughput {
         switches,
         injected_per_switch,
-        workers: actual_workers,
-        speedup: rows[2].events_per_sec / rows[0].events_per_sec.max(1.0),
         bytecode_speedup: rows[1].events_per_sec / rows[0].events_per_sec.max(1.0),
         rows,
         identical,
@@ -615,11 +571,10 @@ pub fn sim_throughput(
     }
 }
 
-/// One engine x executor x opt-level measurement on the generator-driven
+/// One executor x opt-level measurement on the generator-driven
 /// workload.
 #[derive(Debug, Clone)]
 pub struct WorkloadScaleRow {
-    pub engine: &'static str,
     pub exec: &'static str,
     /// Bytecode optimization level (`"0"`/`"1"`/`"2"`; the AST walker
     /// ignores it).
@@ -631,7 +586,7 @@ pub struct WorkloadScaleRow {
     pub state_digest: u64,
 }
 
-/// The `fig_workload_scale` result: the engine x exec x opt matrix
+/// The `fig_workload_scale` result: the exec x opt matrix
 /// driven by streaming generators (zipf keys, a uniform background, and
 /// an attack burst) — the scale gate for the workload-generator
 /// subsystem and the perf-trajectory gate for the bytecode optimizer.
@@ -640,8 +595,8 @@ pub struct WorkloadScale {
     pub switches: u64,
     /// Total generator-sourced injections per run.
     pub target_events: u64,
-    /// One row per combination, sequential/ast first; the bytecode rows
-    /// sweep opt levels 0, 1, 2 under the sequential engine.
+    /// One row per combination, ast first; the bytecode rows sweep opt
+    /// levels 0, 1, 2.
     pub rows: Vec<WorkloadScaleRow>,
     /// State digest, metrics digest, statistics, and per-generator
     /// counts agreed across every combination.
@@ -649,9 +604,9 @@ pub struct WorkloadScale {
     /// Slowest combination's sustained events/sec — what the scale gate
     /// checks.
     pub min_events_per_sec: f64,
-    /// Fully-optimized bytecode events/sec over the AST walker's, both
-    /// under the sequential engine — the optimizer pipeline's headline
-    /// number (CI records and floors it via `BENCH_PR.json`).
+    /// Fully-optimized bytecode events/sec over the AST walker's — the
+    /// optimizer pipeline's headline number (CI records and floors it
+    /// via `BENCH_PR.json`).
     pub bytecode_speedup: f64,
     /// Optimized (O2) over unoptimized (O0) bytecode events/sec — what
     /// the superinstruction + regalloc passes themselves buy.
@@ -661,16 +616,14 @@ pub struct WorkloadScale {
     pub tail: LatencyTail,
 }
 
-/// The generator scenario behind `fig_workload_scale` and
-/// `fig_parallel_scale`: a telemetry-sketch mesh fed by three seeded
-/// sources. The event list is never materialized — the engines pull the
-/// stream lazily, so `target_events` can be millions without a matching
-/// allocation. Every injection carries `ttl = 1`, so each root spawns a
-/// recirculated and a remote child: the derived events are what the
-/// dispatch-latency histograms sample (roots are their own cause and
-/// contribute no latency), keeping the recorded `latency_tail` non-zero,
-/// and the remote copies put real cross-shard traffic on the sharded
-/// engine's mailboxes.
+/// The generator scenario behind `fig_workload_scale`: a
+/// telemetry-sketch mesh fed by three seeded sources. The event list is
+/// never materialized — the driver pulls the stream lazily, so
+/// `target_events` can be millions without a matching allocation. Every
+/// injection carries `ttl = 1`, so each root spawns a recirculated and a
+/// remote child: the derived events are what the dispatch-latency
+/// histograms sample (roots are their own cause and contribute no
+/// latency), keeping the recorded `latency_tail` non-zero.
 fn workload_scale_scenario(switches: u64, target_events: u64) -> lucid_core::Scenario {
     // Thirds: steady zipf flows, uniform background, and a burst window
     // at 10x rate (phases) — diverse enough to exercise every
@@ -707,27 +660,21 @@ fn workload_scale_scenario(switches: u64, target_events: u64) -> lucid_core::Sce
     lucid_core::Scenario::from_json(&doc).expect("workload scenario parses")
 }
 
-/// Run the generator workload under the engine x executor x opt matrix.
+/// Run the generator workload under the executor x opt matrix.
 /// Deterministic: every combination must agree on the state digest,
 /// statistics, and per-generator injection counts — an optimizer
 /// miscompile cannot hide behind an equally-wrong lowering because the
 /// bytecode rows run at every level.
-pub fn workload_scale(switches: u64, target_events: u64, workers: usize) -> WorkloadScale {
+pub fn workload_scale(switches: u64, target_events: u64) -> WorkloadScale {
     use lucid_core::{OptLevel, SimOptions};
     let src = mesh_workload(switches);
     let prog = lucid_core::check::parse_and_check(&src).expect("workload checks");
     let sc = workload_scale_scenario(switches, target_events);
-    let sharded = Engine::Sharded {
-        workers,
-        epoch_ns: 0,
-    };
     let combos = [
-        (Engine::Sequential, ExecMode::Ast, OptLevel::O2),
-        (Engine::Sequential, ExecMode::Bytecode, OptLevel::O0),
-        (Engine::Sequential, ExecMode::Bytecode, OptLevel::O1),
-        (Engine::Sequential, ExecMode::Bytecode, OptLevel::O2),
-        (sharded, ExecMode::Ast, OptLevel::O2),
-        (sharded, ExecMode::Bytecode, OptLevel::O2),
+        (ExecMode::Ast, OptLevel::O2),
+        (ExecMode::Bytecode, OptLevel::O0),
+        (ExecMode::Bytecode, OptLevel::O1),
+        (ExecMode::Bytecode, OptLevel::O2),
     ];
     /// Everything a combination's run must agree on.
     type Observed = (u64, u64, lucid_core::interp::Stats, Vec<(String, u64)>);
@@ -746,9 +693,8 @@ pub fn workload_scale(switches: u64, target_events: u64, workers: usize) -> Work
     let mut observed: Vec<Observed> = Vec::new();
     let mut tail: Option<LatencyTail> = None;
     for _round in 0..3 {
-        for (slot, &(engine, exec, opt)) in combos.iter().enumerate() {
+        for (slot, &(exec, opt)) in combos.iter().enumerate() {
             let ov = SimOptions {
-                engine: Some(engine),
                 exec: Some(exec),
                 opt: Some(opt),
                 // The identity check here runs on digests/stats/counts,
@@ -761,7 +707,6 @@ pub fn workload_scale(switches: u64, target_events: u64, workers: usize) -> Work
             let report =
                 lucid_core::run_scenario_with(&prog, &sc, &ov).expect("workload scenario runs");
             let row = WorkloadScaleRow {
-                engine: engine.label(),
                 exec: exec.label(),
                 opt: opt.label(),
                 events_processed: report.stats.processed,
@@ -794,7 +739,7 @@ pub fn workload_scale(switches: u64, target_events: u64, workers: usize) -> Work
         .iter()
         .map(|r| r.events_per_sec)
         .fold(f64::INFINITY, f64::min);
-    // Row order is fixed above: [0] seq/ast, [1] seq/bc/O0, [3] seq/bc/O2.
+    // Row order is fixed above: [0] ast, [1] bc/O0, [3] bc/O2.
     let bytecode_speedup = rows[3].events_per_sec / rows[0].events_per_sec.max(1.0);
     let opt_speedup = rows[3].events_per_sec / rows[1].events_per_sec.max(1.0);
     WorkloadScale {
@@ -805,185 +750,6 @@ pub fn workload_scale(switches: u64, target_events: u64, workers: usize) -> Work
         min_events_per_sec,
         bytecode_speedup,
         opt_speedup,
-        tail: tail.expect("at least one trial ran"),
-    }
-}
-
-/// One worker-count measurement of the `fig_parallel_scale` sweep.
-#[derive(Debug, Clone)]
-pub struct ParallelScaleRow {
-    pub workers: usize,
-    pub events_processed: u64,
-    pub wall_ms: f64,
-    pub events_per_sec: f64,
-    /// This row over the sequential-bytecode baseline: the best
-    /// per-round throughput ratio (shared-host contention is strictly
-    /// one-sided, so the cleanest of the interleaved rounds is the
-    /// least contaminated comparison).
-    pub speedup: f64,
-    pub state_digest: u64,
-}
-
-/// The `fig_parallel_scale` result: the sharded engine's worker-count
-/// scaling curve against a sequential baseline, all under the bytecode
-/// executor at O2 on the generator-driven mesh workload.
-#[derive(Debug, Clone)]
-pub struct ParallelScale {
-    pub switches: u64,
-    /// Total generator-sourced injections per run.
-    pub target_events: u64,
-    /// The sequential-bytecode baseline's events/sec.
-    pub sequential_events_per_sec: f64,
-    /// One row per swept worker count, ascending.
-    pub rows: Vec<ParallelScaleRow>,
-    /// State digest, metrics digest, statistics, and per-generator
-    /// counts agreed between the baseline and every worker count.
-    pub identical: bool,
-    /// Sharded at one worker over sequential — CI floors this at 0.93
-    /// (parity less wall-clock measurement tolerance): with a single
-    /// worker the engine runs barrier-free through the same scheduling
-    /// core as the sequential driver, so the parallel machinery must
-    /// cost nothing when it buys nothing.
-    pub speedup_w1: f64,
-    /// Whether throughput never dropped more than 5% from one worker
-    /// count to the next. Not a hard gate — on a single-core host every
-    /// extra worker is pure overhead — but recorded into `BENCH_PR.json`
-    /// so multi-core regressions show up in the perf trajectory.
-    pub monotone: bool,
-    /// The host's `std::thread::available_parallelism()` at measurement
-    /// time. Recorded next to `monotone` because the flag is only
-    /// interpretable against it: on a 1-core host a non-monotone curve
-    /// is expected (every extra worker is pure overhead), on an 8-core
-    /// host it is a regression.
-    pub available_parallelism: usize,
-    /// The workload's overall latency tail; its metrics digest is part
-    /// of the cross-run identity check.
-    pub tail: LatencyTail,
-}
-
-/// Sweep the sharded engine across `worker_counts` on the generator
-/// mesh workload and compare every run — digest for digest — against a
-/// sequential-bytecode baseline. Deterministic: the scaling curve is
-/// only meaningful if every point computes the same run.
-pub fn parallel_scale(switches: u64, target_events: u64, worker_counts: &[usize]) -> ParallelScale {
-    use lucid_core::{OptLevel, SimOptions};
-    let src = mesh_workload(switches);
-    let prog = lucid_core::check::parse_and_check(&src).expect("workload checks");
-    let sc = workload_scale_scenario(switches, target_events);
-    /// Everything a run must agree on.
-    type Observed = (u64, u64, lucid_core::interp::Stats, Vec<(String, u64)>);
-    let mut observed: Vec<Observed> = Vec::new();
-    let mut tail: Option<LatencyTail> = None;
-    // Best of four trials per configuration, interleaved round-robin
-    // across the sequential baseline and every worker count (like
-    // `workload_scale`): the headline `speedup_w1` is a ratio of two
-    // wall-clock samples gated near parity, and running each
-    // configuration's trials back-to-back would let one co-tenant burst
-    // poison a whole configuration — and with it the ratio. One more
-    // round than the other benches because a ratio floor this close to
-    // 1.0 needs both sides' best-of to converge. Every trial still
-    // joins the identity check.
-    let configs: Vec<Option<usize>> = std::iter::once(None)
-        .chain(worker_counts.iter().copied().map(Some))
-        .collect();
-    let mut best: Vec<Option<(u64, f64, f64, u64)>> = vec![None; configs.len()];
-    // Per-round events/sec, for the speedup estimator below.
-    let mut eps_rounds: Vec<Vec<f64>> = vec![Vec::new(); configs.len()];
-    // Round -1 is an untimed warmup: the process's very first run pays
-    // page faults and lazy initialization that no later run repays, and
-    // it always lands on the sequential baseline — a per-round ratio
-    // against a cold round-0 baseline would read far above truth. The
-    // warmup run still joins the identity check.
-    for round in -1i32..4 {
-        for (slot, cfg) in configs.iter().enumerate() {
-            let engine = match cfg {
-                None => Engine::Sequential,
-                Some(workers) => Engine::Sharded {
-                    workers: *workers,
-                    epoch_ns: 0,
-                },
-            };
-            let ov = SimOptions {
-                engine: Some(engine),
-                exec: Some(ExecMode::Bytecode),
-                opt: Some(OptLevel::O2),
-                // Identity here is digest/stats/counts-based; skip
-                // retaining a trace nobody reads (uniform across all
-                // worker counts).
-                record_trace: Some(false),
-                ..SimOptions::default()
-            };
-            let report =
-                lucid_core::run_scenario_with(&prog, &sc, &ov).expect("workload scenario runs");
-            if round >= 0 {
-                if best[slot]
-                    .as_ref()
-                    .is_none_or(|b| report.events_per_sec > b.2)
-                {
-                    best[slot] = Some((
-                        report.stats.processed,
-                        report.wall_ms,
-                        report.events_per_sec,
-                        report.state_digest,
-                    ));
-                }
-                eps_rounds[slot].push(report.events_per_sec);
-            }
-            tail.get_or_insert_with(|| LatencyTail::of(&report.metrics));
-            observed.push((
-                report.state_digest,
-                report.metrics.digest(),
-                report.stats,
-                report.gens,
-            ));
-        }
-    }
-    // Speedups are the best per-round ratio. Contention on a shared
-    // host is strictly one-sided — a co-tenant can only slow a sample
-    // down, never speed it up — so of the four sequential/sharded pairs
-    // the round with the highest ratio is the comparison least
-    // contaminated on the sharded side, and floors gated near parity
-    // need that robustness (a ratio of two independently-noisy samples
-    // spreads +-10% here, which would swamp the gate). Throughput
-    // columns still report best-of per configuration.
-    let ratio_best = |slot: usize| -> f64 {
-        eps_rounds[slot]
-            .iter()
-            .zip(&eps_rounds[0])
-            .map(|(e, s)| e / s.max(1.0))
-            .fold(0.0, f64::max)
-    };
-    let mut picks = best.into_iter().map(|b| b.expect("every config ran"));
-    let (_, _, seq_eps, _) = picks.next().expect("sequential baseline ran");
-    let rows: Vec<ParallelScaleRow> = worker_counts
-        .iter()
-        .zip(picks)
-        .enumerate()
-        .map(
-            |(i, (&workers, (processed, wall_ms, eps, digest)))| ParallelScaleRow {
-                workers,
-                events_processed: processed,
-                wall_ms,
-                events_per_sec: eps,
-                speedup: ratio_best(i + 1),
-                state_digest: digest,
-            },
-        )
-        .collect();
-    let identical = observed.iter().all(|o| *o == observed[0]);
-    let monotone = rows
-        .windows(2)
-        .all(|w| w[1].events_per_sec >= w[0].events_per_sec * 0.95);
-    ParallelScale {
-        switches,
-        target_events,
-        sequential_events_per_sec: seq_eps,
-        speedup_w1: rows.first().map_or(0.0, |r| r.speedup),
-        rows,
-        identical,
-        monotone,
-        available_parallelism: std::thread::available_parallelism()
-            .map_or(1, std::num::NonZeroUsize::get),
         tail: tail.expect("at least one trial ran"),
     }
 }
@@ -1219,17 +985,13 @@ mod tests {
 
     #[test]
     fn sim_throughput_matrix_agrees_on_state() {
-        let t = sim_throughput(4, 10, 2, 2);
-        assert!(t.identical, "every engine x exec combination must agree");
-        assert_eq!(t.rows.len(), 4);
-        assert_eq!(
-            (t.rows[0].engine, t.rows[0].exec),
-            ("sequential", "ast"),
-            "row order is the reference first"
-        );
+        let t = sim_throughput(4, 10, 2);
+        assert!(t.identical, "both executors must agree");
+        assert_eq!(t.rows.len(), 2);
+        assert_eq!(t.rows[0].exec, "ast", "row order is the reference first");
         // 40 injected events, each spawning a 2^3 - 1 = 7-event tree.
         for row in &t.rows {
-            assert_eq!(row.events_processed, 40 * 7, "{}/{}", row.engine, row.exec);
+            assert_eq!(row.events_processed, 40 * 7, "{}", row.exec);
         }
     }
 

@@ -28,8 +28,6 @@
 //!   --deny-lints              promote lint warnings to errors and exit 1
 //!                             when any fire (implies --lint; CI gate)
 //!   --json-diagnostics        report diagnostics as a JSON array on stderr
-//!   --engine=sequential|sharded   override the scenario's engine (`sim`)
-//!   --workers=N               sharded-engine worker threads (`sim`; 0 = cores)
 //!   --exec=ast|bytecode       override the scenario's handler executor (`sim`)
 //!   --seed=S                  override the scenario's workload seed (`sim`)
 //!   --events=N                cap total generator-sourced injections (`sim`)
@@ -72,7 +70,7 @@
 #![forbid(unsafe_code)]
 
 use lucid_core::{
-    Build, BuildHost, Compiler, Engine, ExecMode, LayoutOptions, OptLevel, PipelineSpec, Scenario,
+    Build, BuildHost, Compiler, ExecMode, LayoutOptions, OptLevel, PipelineSpec, Scenario,
     ServeState, SimError, SimOptions,
 };
 use std::process::ExitCode;
@@ -83,8 +81,7 @@ const EXIT_USAGE: u8 = 2;
 const USAGE: &str = "usage: lucidc <check|compile|stages> [--emit=ast|ir|layout|p4] \
 [--target=tofino|pisa] [--opt=0|1|2] [--no-opt] [--lint] [--deny-lints] \
 [--json-diagnostics] <file.lucid>\n       \
-lucidc sim [--engine=sequential|sharded] [--workers=N] [--exec=ast|bytecode] \
-[--opt=0|1|2] [--seed=S] [--events=N] [--gen=<spec>] [--verify-bytecode] \
+lucidc sim [--exec=ast|bytecode] [--opt=0|1|2] [--seed=S] [--events=N] [--gen=<spec>] [--verify-bytecode] \
 [--metrics[=json]] [--no-trace] [--json] <file.lucid> <scenario.sim.json>\n       \
 lucidc sim --dump-bytecode [--opt=0|1|2] [--verify-bytecode] <file.lucid> \
 [<scenario.sim.json>]\n       \
@@ -192,7 +189,6 @@ fn main() -> ExitCode {
 
 /// Parsed command line for `sim`.
 struct SimArgs {
-    engine: Option<Engine>,
     exec: Option<ExecMode>,
     /// `--opt=0|1|2` (or `--no-opt` = level 0): the bytecode pipeline.
     opt: Option<OptLevel>,
@@ -230,11 +226,9 @@ enum MetricsOut {
 }
 
 fn parse_sim_options(args: &[String]) -> Result<SimArgs, String> {
-    let mut engine: Option<Engine> = None;
     let mut exec: Option<ExecMode> = None;
     let mut opt: Option<OptLevel> = None;
     let mut no_opt = false;
-    let mut workers: Option<usize> = None;
     let mut seed: Option<u64> = None;
     let mut events: Option<u64> = None;
     let mut gen: Option<String> = None;
@@ -245,9 +239,7 @@ fn parse_sim_options(args: &[String]) -> Result<SimArgs, String> {
     let mut no_trace = false;
     let mut files: Vec<String> = Vec::new();
     for a in args {
-        if let Some(v) = a.strip_prefix("--engine=") {
-            engine = Some(Engine::parse(v).ok_or_else(|| format!("unknown --engine value `{v}`"))?);
-        } else if let Some(v) = a.strip_prefix("--exec=") {
+        if let Some(v) = a.strip_prefix("--exec=") {
             exec = Some(ExecMode::parse(v).ok_or_else(|| format!("unknown --exec value `{v}`"))?);
         } else if let Some(v) = a.strip_prefix("--opt=") {
             opt = Some(
@@ -256,11 +248,6 @@ fn parse_sim_options(args: &[String]) -> Result<SimArgs, String> {
             );
         } else if a == "--no-opt" {
             no_opt = true;
-        } else if let Some(v) = a.strip_prefix("--workers=") {
-            workers = Some(
-                v.parse::<usize>()
-                    .map_err(|_| format!("bad --workers value `{v}`"))?,
-            );
         } else if let Some(v) = a.strip_prefix("--seed=") {
             seed = Some(
                 v.parse::<u64>()
@@ -309,20 +296,6 @@ fn parse_sim_options(args: &[String]) -> Result<SimArgs, String> {
             "`--metrics=json` conflicts with `--json` (which already embeds metrics)".to_string(),
         );
     }
-    if let Some(w) = workers {
-        match &mut engine {
-            Some(Engine::Sharded { workers, .. }) => *workers = w,
-            Some(Engine::Sequential) => {
-                return Err("`--workers` only applies to `--engine=sharded`".to_string());
-            }
-            None => {
-                engine = Some(Engine::Sharded {
-                    workers: w,
-                    epoch_ns: 0,
-                });
-            }
-        }
-    }
     let (program, scenario) = match files.as_slice() {
         [program, scenario] => (program.clone(), Some(scenario.clone())),
         [program] if dump_bytecode => (program.clone(), None),
@@ -335,7 +308,6 @@ fn parse_sim_options(args: &[String]) -> Result<SimArgs, String> {
         }
     };
     Ok(SimArgs {
-        engine,
         exec,
         opt,
         seed,
@@ -448,11 +420,8 @@ fn run_sim(args: &[String]) -> ExitCode {
         }
     }
     let options = SimOptions {
-        engine: opts.engine,
         exec: opts.exec,
         opt: opts.opt,
-        // `--workers` is folded into the engine override at parse time.
-        workers: None,
         seed: opts.seed,
         events: opts.events,
         // The trace stays on unless `--no-trace` sheds it; either way
@@ -974,30 +943,25 @@ mod tests {
     #[test]
     fn sim_options_parse() {
         let o = parse_sim_options(&[
-            "--engine=sharded".into(),
-            "--workers=3".into(),
             "--exec=bytecode".into(),
             "--json".into(),
             "p.lucid".into(),
             "s.sim.json".into(),
         ])
         .unwrap();
-        assert_eq!(
-            o.engine,
-            Some(Engine::Sharded {
-                workers: 3,
-                epoch_ns: 0
-            })
-        );
         assert_eq!(o.exec, Some(ExecMode::Bytecode));
         assert!(o.json);
         assert_eq!(
             (o.program.as_str(), o.scenario.as_deref()),
             ("p.lucid", Some("s.sim.json"))
         );
-        // --workers alone implies the sharded engine.
-        let o = parse_sim_options(&["--workers=2".into(), "p".into(), "s".into()]).unwrap();
-        assert!(matches!(o.engine, Some(Engine::Sharded { workers: 2, .. })));
+        // There is one engine: its former selectors are unknown options.
+        for flag in ["--engine=sharded", "--engine=sequential", "--workers=2"] {
+            let err = parse_sim_options(&[flag.into(), "p".into(), "s".into()])
+                .err()
+                .expect(flag);
+            assert_eq!(err, format!("unknown option `{flag}`"));
+        }
         // Workload knobs parse and default to None.
         let o = parse_sim_options(&[
             "--seed=17".into(),
@@ -1015,15 +979,7 @@ mod tests {
         assert!(parse_sim_options(&["--seed=zz".into(), "p".into(), "s".into()]).is_err());
         assert!(parse_sim_options(&["--events=-1".into(), "p".into(), "s".into()]).is_err());
         assert!(parse_sim_options(&["p".into()]).is_err());
-        assert!(parse_sim_options(&["--engine=warp".into(), "p".into(), "s".into()]).is_err());
         assert!(parse_sim_options(&["--exec=jit".into(), "p".into(), "s".into()]).is_err());
-        assert!(parse_sim_options(&[
-            "--engine=sequential".into(),
-            "--workers=2".into(),
-            "p".into(),
-            "s".into()
-        ])
-        .is_err());
     }
 
     #[test]
@@ -1049,7 +1005,7 @@ mod tests {
         let o = parse_sim_options(&[
             "--no-trace".into(),
             "--json".into(),
-            "--engine=sharded".into(),
+            "--exec=bytecode".into(),
             "p".into(),
             "s".into(),
         ])

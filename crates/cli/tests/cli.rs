@@ -226,25 +226,58 @@ fn sim_runs_scenario_green() {
 
 #[test]
 fn sim_engines_agree_and_json_is_structured() {
+    // Both handler engines — the AST walker and the bytecode executor —
+    // run under the one sequential driver and land on the same digest.
     let prog = write_temp("sim-json.lucid", GOOD);
     let sc = write_temp("sim-json.sim.json", SIM_SCENARIO);
-    for engine in ["sequential", "sharded"] {
+    let mut digests = Vec::new();
+    for exec in ["ast", "bytecode"] {
         let out = lucidc(&[
             "sim",
-            &format!("--engine={engine}"),
+            &format!("--exec={exec}"),
             "--json",
             prog.to_str().unwrap(),
             sc.to_str().unwrap(),
         ]);
-        assert_eq!(out.status.code(), Some(0), "{engine}: {out:?}");
+        assert_eq!(out.status.code(), Some(0), "{exec}: {out:?}");
         let s = String::from_utf8_lossy(&out.stdout);
         let line = s.trim();
         assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
-        assert!(line.contains(&format!("\"engine\":\"{engine}\"")), "{line}");
+        assert!(line.contains("\"engine\":\"sequential\""), "{line}");
+        assert!(line.contains(&format!("\"exec\":\"{exec}\"")), "{line}");
         assert!(line.contains("\"events_handled\":3"), "{line}");
         assert!(line.contains("\"ok\":true"), "{line}");
         assert!(line.contains("\"events_per_sec\":"), "{line}");
+        let digest = line.split("\"state_digest\":").nth(1).expect("digest");
+        digests.push(digest[..18].to_string());
     }
+    assert_eq!(digests[0], digests[1]);
+}
+
+#[test]
+fn sim_rejects_removed_engine_flags() {
+    let prog = write_temp("sim-flags.lucid", GOOD);
+    let sc = write_temp("sim-flags.sim.json", SIM_SCENARIO);
+    // The engine selectors are unknown options: a usage error, exit 2.
+    for flag in ["--workers=2", "--engine=sharded", "--engine=sequential"] {
+        let out = lucidc(&["sim", flag, prog.to_str().unwrap(), sc.to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(2), "{flag}: {out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("unknown option `{flag}`")), "{err}");
+    }
+    // A scenario that still names an engine gets the unknown-key error.
+    let engine = SIM_SCENARIO.replacen('{', r#"{"engine": {"kind": "sharded"},"#, 1);
+    let sc = write_temp("sim-engine.sim.json", &engine);
+    let out = lucidc(&[
+        "sim",
+        "--json",
+        prog.to_str().unwrap(),
+        sc.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let s = String::from_utf8_lossy(&out.stdout);
+    assert!(s.contains("\"kind\":\"schema\",\"path\":\"$\""), "{s}");
+    assert!(s.contains("unknown field `engine`"), "{s}");
 }
 
 #[test]

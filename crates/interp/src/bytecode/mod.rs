@@ -29,7 +29,7 @@
 //!   (`lucidc sim --dump-bytecode`).
 //!
 //! Every optimization level is bit-identical to the walker; the
-//! differential suites sweep the full engine × exec × opt matrix.
+//! differential suites sweep the full exec × opt matrix.
 //!
 //! # The ISA
 //!

@@ -1,10 +1,10 @@
 //! Unit tests for the bytecode pipeline: differential equivalence with
-//! the AST walker across the full engine × opt matrix, plus the
+//! the AST walker across every opt level, plus the
 //! optimizer-pass properties (peephole idempotence, regalloc frame
 //! bounds, fused-op disassembly stability).
 
 use super::*;
-use crate::machine::{Engine, Interp, InterpFault, NetConfig};
+use crate::machine::{Interp, InterpFault, NetConfig};
 use lucid_check::parse_and_check;
 use proptest::prelude::*;
 
@@ -95,14 +95,12 @@ type Snapshot = (
 
 fn run_snapshot(
     prog: &CheckedProgram,
-    engine: Engine,
     exec: ExecMode,
     opt: OptLevel,
     switches: u64,
     schedule: &[(u64, u64, &str, Vec<u64>)],
 ) -> Result<Snapshot, crate::machine::InterpError> {
     let mut cfg = NetConfig::mesh(switches);
-    cfg.engine = engine;
     cfg.exec = exec;
     cfg.opt = opt;
     let mut sim = Interp::new(prog, cfg);
@@ -136,33 +134,14 @@ fn kitchen_sink_bytecode_matches_walker_everywhere() {
             schedule.push((s, k * 300, "pkt", vec![s * 40 + k, 3]));
         }
     }
-    let reference = run_snapshot(
-        &prog,
-        Engine::Sequential,
-        ExecMode::Ast,
-        OptLevel::O2,
-        2,
-        &schedule,
-    )
-    .unwrap();
-    for (engine, elabel) in [
-        (Engine::Sequential, "sequential"),
-        (
-            Engine::Sharded {
-                workers: 2,
-                epoch_ns: 0,
-            },
-            "sharded",
-        ),
-    ] {
-        for opt in LEVELS {
-            let got = run_snapshot(&prog, engine, ExecMode::Bytecode, opt, 2, &schedule).unwrap();
-            let label = format!("{elabel}/bytecode/O{}", opt.label());
-            assert_eq!(reference.0, got.0, "{label}: array state");
-            assert_eq!(reference.1, got.1, "{label}: stats");
-            assert_eq!(reference.2, got.2, "{label}: trace");
-            assert_eq!(reference.3, got.3, "{label}: printf output");
-        }
+    let reference = run_snapshot(&prog, ExecMode::Ast, OptLevel::O2, 2, &schedule).unwrap();
+    for opt in LEVELS {
+        let got = run_snapshot(&prog, ExecMode::Bytecode, opt, 2, &schedule).unwrap();
+        let label = format!("bytecode/O{}", opt.label());
+        assert_eq!(reference.0, got.0, "{label}: array state");
+        assert_eq!(reference.1, got.1, "{label}: stats");
+        assert_eq!(reference.2, got.2, "{label}: trace");
+        assert_eq!(reference.3, got.3, "{label}: printf output");
     }
     // The workload actually exercised the interesting paths.
     assert!(!reference.3.is_empty(), "printf must fire");
@@ -362,23 +341,9 @@ fn fused_ops_render_and_run_identically() {
     // In-bounds and out-of-bounds runs agree with the walker.
     for idx in [0u64, 1, 2, 5] {
         let schedule = vec![(1u64, 0u64, "go", vec![idx, 7])];
-        let reference = run_snapshot(
-            &prog,
-            Engine::Sequential,
-            ExecMode::Ast,
-            OptLevel::O2,
-            1,
-            &schedule,
-        );
+        let reference = run_snapshot(&prog, ExecMode::Ast, OptLevel::O2, 1, &schedule);
         for opt in LEVELS {
-            let got = run_snapshot(
-                &prog,
-                Engine::Sequential,
-                ExecMode::Bytecode,
-                opt,
-                1,
-                &schedule,
-            );
+            let got = run_snapshot(&prog, ExecMode::Bytecode, opt, 1, &schedule);
             assert_eq!(reference, got, "idx={idx} O{}", opt.label());
         }
     }
@@ -535,19 +500,14 @@ fn nested_calls_resolve_arrays_through_the_dynamic_stack() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random schedules, topology sizes, and worker counts over the
-    /// kitchen-sink program: every engine x opt combination must agree
-    /// with the sequential AST walker on state, stats, trace, and
-    /// printf output.
+    /// Random schedules and topology sizes over the kitchen-sink
+    /// program: every opt level must agree with the AST walker on
+    /// state, stats, trace, and printf output.
     #[test]
     fn differential_random_schedules(
         switches in 1u64..=4,
-        // Lone worker (the barrier-free path), odd/even pools, a prime
-        // misaligning the round-robin partition, and an oversized pool.
-        wsel in 0usize..6,
         raw in proptest::collection::vec((1u64..=4, 0u64..=5_000, 0u64..=255, 0u64..=4), 1..24)
     ) {
-        let workers = [1usize, 2, 3, 4, 7, 8][wsel];
         let prog = checked(KITCHEN_SINK);
         let schedule: Vec<(u64, u64, &str, Vec<u64>)> = raw
             .iter()
@@ -556,17 +516,15 @@ proptest! {
             })
             .collect();
         let reference =
-            run_snapshot(&prog, Engine::Sequential, ExecMode::Ast, OptLevel::O2, switches, &schedule)
+            run_snapshot(&prog, ExecMode::Ast, OptLevel::O2, switches, &schedule)
                 .expect("bounded workload quiesces");
-        for engine in [Engine::Sequential, Engine::Sharded { workers, epoch_ns: 0 }] {
-            for opt in LEVELS {
-                let got = run_snapshot(&prog, engine, ExecMode::Bytecode, opt, switches, &schedule)
-                    .expect("deterministic workload");
-                prop_assert_eq!(&reference.0, &got.0);
-                prop_assert_eq!(&reference.1, &got.1);
-                prop_assert_eq!(&reference.2, &got.2);
-                prop_assert_eq!(&reference.3, &got.3);
-            }
+        for opt in LEVELS {
+            let got = run_snapshot(&prog, ExecMode::Bytecode, opt, switches, &schedule)
+                .expect("deterministic workload");
+            prop_assert_eq!(&reference.0, &got.0);
+            prop_assert_eq!(&reference.1, &got.1);
+            prop_assert_eq!(&reference.2, &got.2);
+            prop_assert_eq!(&reference.3, &got.3);
         }
     }
 
@@ -589,9 +547,9 @@ proptest! {
             .enumerate()
             .map(|(k, i)| (1u64, k as u64 * 100, "go", vec![*i]))
             .collect();
-        let ast = run_snapshot(&prog, Engine::Sequential, ExecMode::Ast, OptLevel::O2, 1, &schedule);
+        let ast = run_snapshot(&prog, ExecMode::Ast, OptLevel::O2, 1, &schedule);
         for opt in LEVELS {
-            let bc = run_snapshot(&prog, Engine::Sequential, ExecMode::Bytecode, opt, 1, &schedule);
+            let bc = run_snapshot(&prog, ExecMode::Bytecode, opt, 1, &schedule);
             prop_assert_eq!(&ast, &bc);
         }
     }

@@ -9,92 +9,42 @@
 //! (~600 ns on a Tofino, Fig. 17), and events sent to a neighbor take a
 //! ~1 µs wire hop.
 //!
-//! # Engines
+//! # The driver
 //!
-//! Per-switch state is an independent *shard*: its register arrays, its
-//! event queue, and its emission counter. Two drivers execute the shards:
-//!
-//! * [`Engine::Sequential`] — the reference: one global queue, events
-//!   dispatched strictly in `Key` order (virtual time, then origin).
-//! * [`Engine::Sharded`] — a conservative parallel discrete-event
-//!   simulation: shards are partitioned across a small worker pool, each
-//!   worker scheduling its whole slice through one local heap. Workers
-//!   run lockstep rounds bounded by an *adaptive horizon* derived from
-//!   the wire latency, exchanging cross-worker events through batched
-//!   per-round mailboxes at the round barrier. Because a cross-switch
-//!   event can never arrive sooner than one wire hop, every event a
-//!   worker dispatches below its horizon is final, so each shard
-//!   observes exactly the event order the sequential engine would
-//!   produce. Successful runs are bit-identical between the two engines:
-//!   final array state, statistics, trace, printf output, and metrics
-//!   all match (each worker's dispatch log is a key-sorted run; the
-//!   global trace is a k-way merge of them at run's end).
-//!
-//! Error runs differ in bookkeeping only: the sharded engine checks the
-//! event budget at epoch barriers (so it may overshoot `max_events`
-//! before reporting [`InterpFault::FuelExhausted`]), and a runtime fault
-//! aborts the faulting shard's epoch while sibling shards finish theirs.
-//! The *reported* error is still deterministic (the fault with the
-//! smallest event key wins).
+//! Per-switch state is an independent *shard*: its register arrays and
+//! its emission counter. One sequential driver executes every shard from
+//! a single global queue, dispatching events strictly in `Key` order
+//! (virtual time, then class, origin, and sequence number), so a run is a
+//! pure function of its inputs: final array state, statistics, trace,
+//! printf output, and metrics are bit-identical under either handler
+//! executor and every bytecode optimization level.
 
 use crate::bytecode::{CompiledProg, ExecMode, OptLevel};
 use crate::metrics::{ClassHists, Metrics, ShardMetrics};
 use crate::snap;
 use crate::value::{lucid_hash, EventVal, Location, Value};
-use crate::workload::{EventSource, GenSpec, LocalGen, SourcedEvent, Workload};
+use crate::workload::{EventSource, GenSpec, SourcedEvent, Workload};
 use lucid_check::{eval_memop, mask, CheckedProgram, GlobalId};
 use lucid_frontend::ast::*;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 
-// The sharded engine shares `&CheckedProgram` across worker threads; this
-// fails to compile if the checked AST ever grows thread-unsafe interior
-// mutability (e.g. `Rc`).
-fn _assert_prog_thread_safe() {
-    fn check<T: Send + Sync>() {}
-    check::<CheckedProgram>();
-}
-
-/// Which driver executes the shards.
+/// The driver that executes the shards. There is one; the type remains
+/// so reports can name it (the `engine` field of every report and serve
+/// `open` reply).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
-    /// One global queue, one thread: the reference engine.
+    /// One global queue, one thread.
     #[default]
     Sequential,
-    /// Lockstep-round parallel execution on a worker pool, with adaptive
-    /// epoch horizons and batched cross-worker mailboxes.
-    Sharded {
-        /// Worker threads; `0` means one per available core (capped at
-        /// the number of switches).
-        workers: usize,
-        /// Epoch cap in sim-nanoseconds; `0` (the default) means purely
-        /// adaptive horizons sized from observed wire latency. A nonzero
-        /// value additionally caps each round's horizon (clamped down to
-        /// the wire latency — wider would add nothing).
-        epoch_ns: u64,
-    },
 }
 
 impl Engine {
-    /// Parse a CLI/scenario engine name.
-    pub fn parse(name: &str) -> Option<Engine> {
-        match name {
-            "sequential" | "seq" => Some(Engine::Sequential),
-            "sharded" | "parallel" => Some(Engine::Sharded {
-                workers: 0,
-                epoch_ns: 0,
-            }),
-            _ => None,
-        }
-    }
-
     pub fn label(&self) -> &'static str {
         match self {
             Engine::Sequential => "sequential",
-            Engine::Sharded { .. } => "sharded",
         }
     }
 }
@@ -110,9 +60,7 @@ pub struct NetConfig {
     pub link_latency_ns: u64,
     /// Latency of one recirculation pass (§7.4: one recirculation ≈ 600 ns).
     pub recirc_latency_ns: u64,
-    /// Which driver to run the shards with.
-    pub engine: Engine,
-    /// Which executor runs handler bodies (orthogonal to `engine`).
+    /// Which executor runs handler bodies.
     pub exec: ExecMode,
     /// How hard the bytecode pipeline optimizes (ignored by the AST
     /// walker). Every level is bit-identical; the default is the full
@@ -126,7 +74,6 @@ impl Default for NetConfig {
             switches: vec![1],
             link_latency_ns: 1_000,
             recirc_latency_ns: 600,
-            engine: Engine::Sequential,
             exec: ExecMode::Ast,
             opt: OptLevel::default(),
         }
@@ -145,15 +92,6 @@ impl NetConfig {
             switches: (1..=n).collect(),
             ..Self::default()
         }
-    }
-
-    /// Select the sharded parallel engine (`workers == 0`: one per core).
-    pub fn sharded(mut self, workers: usize) -> Self {
-        self.engine = Engine::Sharded {
-            workers,
-            epoch_ns: 0,
-        };
-        self
     }
 
     /// Select the bytecode executor.
@@ -420,10 +358,10 @@ impl SwitchState {
 /// class and origin: externally injected events come first — explicitly
 /// scheduled ones (origin 0, in schedule order) before sourced ones (one
 /// origin per workload source, in per-source pull order) — then generated
-/// events by source switch and per-source emission count. Both engines
-/// schedule with the same keys, which is what makes their per-shard
-/// execution orders — and therefore their results — identical; no key
-/// component depends on *when* an engine materializes the event.
+/// events by source switch and per-source emission count. No key
+/// component depends on *when* the driver materializes the event, so
+/// pulling a source early or late, or splitting a run at any horizon,
+/// cannot change the execution order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct Key {
     time_ns: u64,
@@ -476,9 +414,9 @@ enum Flow {
     Returned(Value),
 }
 
-/// One switch's independent slice of the simulation: persistent arrays,
-/// the local event queue, and run-local buffers that the drivers drain
-/// back into the [`Interp`] at barriers.
+/// One switch's independent slice of the simulation: persistent arrays
+/// and run-local buffers that the driver drains back into the [`Interp`]
+/// at run end.
 #[derive(Debug)]
 pub(crate) struct Shard {
     switch: u64,
@@ -486,11 +424,6 @@ pub(crate) struct Shard {
     /// as dropped) but loses its state.
     alive: bool,
     pub(crate) state: SwitchState,
-    /// Events parked on a shard between runs. During a run both engines
-    /// keep live events elsewhere (the interpreter's global queue, a
-    /// worker's own heap); this holds only arrivals stashed for a shard
-    /// whose handler faulted, until the driver re-parks them globally.
-    queue: BinaryHeap<Reverse<Scheduled>>,
     /// Per-source emission counter feeding [`Key::seq`].
     emit_seq: u64,
     /// This shard's virtual clock: the latest event time it has executed.
@@ -529,7 +462,6 @@ impl Shard {
             switch,
             alive: true,
             state: SwitchState::zeroed(prog),
-            queue: BinaryHeap::new(),
             emit_seq: 0,
             now_ns: 0,
             trace: Vec::new(),
@@ -559,9 +491,7 @@ impl Shard {
 }
 
 /// The handler-execution engine: immutable program + timing parameters.
-/// It mutates exactly one shard at a time, which is what lets the worker
-/// pool run shards concurrently.
-#[derive(Clone)]
+/// It mutates exactly one shard at a time.
 pub(crate) struct Exec {
     prog: Arc<CheckedProgram>,
     recirc_ns: u64,
@@ -639,7 +569,7 @@ impl Exec {
     }
 
     /// Run one event on its shard. The caller has already popped it from
-    /// the shard queue and advanced the shard clock.
+    /// the queue and advanced the shard clock.
     fn dispatch(&self, shard: &mut Shard, sched: Scheduled) -> Result<(), InterpError> {
         // Borrow the event name from the program — the hot path never
         // clones it (only trace records and fault payloads allocate).
@@ -651,9 +581,9 @@ impl Exec {
         }
 
         // Metrics: both measurements are differences of deterministic
-        // virtual instants (dispatch time is the event's own key time in
-        // either engine), so sequential and sharded runs record
-        // identical samples. Dropped events never dispatch and are not
+        // virtual instants (dispatch time is the event's own key time),
+        // so every executor and opt level records identical samples.
+        // Dropped events never dispatch and are not
         // measured; handled and exported events both are, matching
         // `per_event` counts. Only derived (class-1) events carry a
         // dispatch-latency sample — an injection is its own root. The
@@ -798,9 +728,8 @@ impl Exec {
     }
 
     /// Schedule a generated event according to its location and delay.
-    /// Local targets go straight onto the shard's queue (a recirculation
-    /// can land within the current epoch); every other target goes to the
-    /// outbox for the driver to route.
+    /// Every target, local or remote, goes to the shard's outbox for the
+    /// driver to route.
     pub(crate) fn emit(&self, shard: &mut Shard, mut ev: EventVal) {
         let from = shard.switch;
         let lat_to = |target: u64| {
@@ -857,8 +786,8 @@ impl Exec {
         } else {
             shard.stats.sent_remote += 1;
         }
-        // Both drivers route every emission (recirculation or remote)
-        // through the outbox; the caller owns the queue it lands on.
+        // The driver routes every emission (recirculation or remote)
+        // from the outbox onto the queue it owns.
         shard.outbox.push(sched);
     }
 
@@ -1115,80 +1044,16 @@ impl Exec {
     }
 }
 
-// ------------------------------------------------------------------ pool
-//
-// The sharded driver is coordinator-free: the calling thread doubles as
-// worker 0 and every worker runs the identical lockstep round protocol
-// against a handful of shared cells. Each round has two phases separated
-// by barriers:
-//
-//   P1  drain this worker's mailbox into its event heap, then publish
-//       one word of "activity" — the earliest virtual instant this
-//       worker could still produce work at (min over its heap head and
-//       its partitioned sources' next emissions).
-//   P2  every worker reads all published words and computes the same
-//       reduction, so all of them agree — with no messages — on whether
-//       to stop (drained / fuel / fault) and on each worker's *horizon*:
-//       how far its shards may run this round.
-//
-// The horizon is adaptive per worker (a conservative null-message bound
-// in the CMB tradition): worker `w` may process strictly below
-// `min(min(other workers' activity) + link, global min + 2·link)`. The
-// first term bounds arrivals from events already queued on a sibling
-// (one wire hop past its floor); the second bounds arrivals from chain
-// events still in flight — in-flight mail is itself at least one hop
-// past some worker's floor, so its re-emissions are two hops past the
-// global minimum. Both are needed: the first alone lets a worker's own
-// emissions bounce off a sibling and return below its already-consumed
-// frontier. The global laggard therefore gets a double-wide window and
-// everyone else the classic conservative one — and with one worker the
-// horizon is unbounded, so the round loop degrades into a straight
-// single-threaded drain with no synchronization cost.
-//
-// Cross-worker events are not exchanged per event: a round's emissions
-// accumulate into per-destination batches and are appended to the
-// destination's mailbox with one lock per (destination, round). Mail
-// sent in round `k` is drained at round `k+1`'s P1, which is sound
-// because a mailed arrival is at least one wire hop past its emitter's
-// published activity — at or beyond every receiver horizon of round `k`.
-
 /// How many sourced events a driver materializes per refill. Chunking
 /// amortizes the per-pull dispatch overhead while keeping in-flight
 /// memory bounded by the frontier; correctness never depends on the
 /// chunk size because sourced keys are pull-order-independent.
 const SOURCE_CHUNK: usize = 64;
 
-/// The per-worker shared cells. Plain `std` sync everywhere: the round
-/// barriers provide the happens-before edges, so the atomics only need
-/// `Relaxed` ordering.
-#[derive(Default)]
-struct WorkerCell {
-    /// Cross-worker deliveries, appended in per-round batches.
-    mailbox: Mutex<Vec<Scheduled>>,
-    /// The worker's published activity floor (`u64::MAX`: idle).
-    activity: AtomicU64,
-    /// Cumulative events processed, published once per round.
-    processed: AtomicU64,
-}
-
-/// Why the round loop stopped (every worker computes the same answer;
-/// the driver reads worker 0's).
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum StopWhy {
-    /// Queues and sources drained, or the time horizon passed.
-    Done,
-    /// The event budget ran out (or the last round overshot it).
-    Fuel,
-    /// A handler faulted; the smallest-key fault is in the shared cell.
-    Fault,
-    /// The barrier was fused by a panicking sibling.
-    Died,
-}
-
 /// A switch-id lookup table on the per-event routing path. Configs
 /// number switches densely from 1, so the common case is a flat-array
-/// read; arbitrary ids fall back to hashing. (The hash map's per-event
-/// SipHash showed up directly in the workers=1-vs-sequential ratio.)
+/// read; arbitrary ids fall back to hashing (a per-event SipHash is
+/// measurable on the dispatch loop).
 enum SwitchMap {
     Dense(Vec<u32>),
     Sparse(HashMap<u64, u32>),
@@ -1227,108 +1092,14 @@ impl SwitchMap {
     }
 }
 
-/// Shared read-only round state (cells, reductions, network constants).
-struct RoundCtx<'a> {
-    cells: &'a [WorkerCell],
-    /// Head time of the shared (non-partitioned) source, `u64::MAX` when
-    /// exhausted or absent. Published by worker 0, read by everyone:
-    /// shared arrivals carry their own absolute times, so every horizon
-    /// is clamped at this instant.
-    shared_peek: &'a AtomicU64,
-    /// Sourced events bound for unknown switches (dropped, counted).
-    dropped: &'a AtomicU64,
-    /// The smallest-key fault of the run, min-merged by every worker.
-    fault: &'a Mutex<Option<(Key, InterpError)>>,
-    barrier: &'a RoundBarrier,
-    /// switch id → owning worker.
-    owner: &'a SwitchMap,
-    link_ns: u64,
-    /// Explicit `epoch_ns` override: an additional cap of
-    /// `global_min + epoch` on every horizon (narrower rounds, same
-    /// results). `None` is the adaptive default.
-    epoch_cap: Option<u64>,
-    max_events: u64,
-    max_time_ns: u64,
-}
-
-/// A reusable rendezvous replacing [`std::sync::Barrier`] with one that
-/// can be *fused*: a worker that unwinds mid-round breaks the barrier on
-/// the way out ([`FuseOnPanic`]), waking every sibling with an error
-/// instead of leaving them blocked on a rendezvous that can no longer
-/// complete. (`std`'s barrier has no such escape hatch, and a panicking
-/// handler — AST-walker invariants panic — must not deadlock the pool.)
-struct RoundBarrier {
-    /// (arrived, generation, fused)
-    state: Mutex<(usize, u64, bool)>,
-    cv: Condvar,
-    n: usize,
-}
-
-impl RoundBarrier {
-    fn new(n: usize) -> Self {
-        RoundBarrier {
-            state: Mutex::new((0, 0, false)),
-            cv: Condvar::new(),
-            n,
-        }
-    }
-
-    /// Rendezvous with the other `n - 1` workers. `Err(())` means the
-    /// barrier was fused and the round protocol is dead.
-    fn wait(&self) -> Result<(), ()> {
-        let mut st = self.state.lock().expect("barrier state");
-        if st.2 {
-            return Err(());
-        }
-        st.0 += 1;
-        if st.0 == self.n {
-            st.0 = 0;
-            st.1 += 1;
-            self.cv.notify_all();
-            return Ok(());
-        }
-        let generation = st.1;
-        while st.1 == generation && !st.2 {
-            st = self.cv.wait(st).expect("barrier wait");
-        }
-        if st.2 {
-            Err(())
-        } else {
-            Ok(())
-        }
-    }
-
-    fn fuse(&self) {
-        let mut st = self.state.lock().expect("barrier state");
-        st.2 = true;
-        self.cv.notify_all();
-    }
-}
-
-/// Fuses the round barrier if the owning worker unwinds, so siblings
-/// exit their round loop instead of blocking forever; the panic itself
-/// still propagates through the scope join.
-struct FuseOnPanic<'a>(&'a RoundBarrier);
-
-impl Drop for FuseOnPanic<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.fuse();
-        }
-    }
-}
-
 /// A min-queue of [`Scheduled`] events built as an index heap over a
 /// slab: the binary heap orders compact `(Key, slot)` pairs while the
 /// much larger payloads stay put in a pooled slab, so every heap sift
 /// moves less than half the bytes a `BinaryHeap<Scheduled>` would, and
 /// head peeks never touch the slab at all. Keys are globally unique,
-/// so pair order is exactly the key order the engine contract
+/// so pair order is exactly the key order the driver contract
 /// requires. A popped slot leaves a dead record behind (empty args —
-/// no allocation) and recycles through a freelist. Both drivers
-/// schedule through this: the sequential loop directly, each sharded
-/// worker for its own per-worker heap.
-#[derive(Default)]
+/// no allocation) and recycles through a freelist.
 struct SchedHeap {
     pool: Vec<Scheduled>,
     free: Vec<u32>,
@@ -1398,413 +1169,14 @@ impl SchedHeap {
     }
 }
 
-/// What a worker hands back when the round loop stops.
-struct WorkerOut {
-    shards: Vec<Shard>,
-    /// Undispatched events (above the final horizon, or past a stop).
-    heap: SchedHeap,
-    /// This worker's dispatch log, already in global key order (one
-    /// worker's dispatches are totally ordered), merged across workers
-    /// once at run end.
-    trace: Vec<(Key, TraceRec)>,
-    output: Vec<(Key, OutRec)>,
-    /// Partitioned sources, cursors advanced to wherever the run ended.
-    locals: Vec<LocalGen>,
-    /// Per-source pull counters (authoritative for this worker's slots).
-    counts: Vec<u64>,
-    why: StopWhy,
-    /// Events processed across all workers at stop time (identical on
-    /// every worker; the driver reads worker 0's).
-    total: u64,
-}
-
-/// What a worker starts the round loop with — the input counterpart of
-/// [`WorkerOut`].
-struct WorkerSeed {
-    shards: Vec<Shard>,
-    /// Pending events already owned by this worker's shards.
-    heap: SchedHeap,
-    /// Partitioned single-switch generators owned by this worker.
-    locals: Vec<LocalGen>,
-    /// Per-source pull counters (a full-width copy; each worker advances
-    /// only its own slots).
-    counts: Vec<u64>,
-}
-
-/// The lockstep round loop every worker (including the calling thread,
-/// as worker 0) runs until all of them agree to stop. `shared` is the
-/// non-partitioned remainder of the event source; only worker 0 holds
-/// it and materializes its stream one window ahead, mailing each event
-/// to its owner.
-#[allow(clippy::too_many_lines)]
-fn run_round_worker(
-    ctx: &RoundCtx<'_>,
-    exec: &Exec,
-    id: usize,
-    seed: WorkerSeed,
-    mut shared: Option<&mut Box<dyn EventSource + Send>>,
-) -> WorkerOut {
-    let WorkerSeed {
-        mut shards,
-        mut heap,
-        mut locals,
-        mut counts,
-    } = seed;
-    let _fuse = FuseOnPanic(ctx.barrier);
-    let nworkers = ctx.cells.len();
-    let mut outgoing: Vec<Vec<Scheduled>> = (0..nworkers).map(|_| Vec::new()).collect();
-    // switch id → index into this worker's `shards` (hot: every dispatch
-    // resolves its shard through it).
-    let at = SwitchMap::build(
-        &shards
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (s.switch, u32::try_from(i).expect("shard count fits u32")))
-            .collect::<Vec<_>>(),
-    );
-    let local = |id: u64| at.get(id).expect("routed to owning worker") as usize;
-    let mut trace: Vec<(Key, TraceRec)> = Vec::new();
-    let mut output: Vec<(Key, OutRec)> = Vec::new();
-    // Scratch buffer for chunked source pulls, reused across rounds.
-    let mut batch: Vec<SourcedEvent> = Vec::new();
-    // A shard whose handler faulted sits out the rest of the run (its
-    // siblings still finish the round, exactly like the old per-epoch
-    // engine); the next round's reduction sees the fault and stops.
-    let mut poisoned = vec![false; shards.len()];
-    let mut cum = 0u64;
-    let mut round_err: Option<(Key, InterpError)> = None;
-    let (why, total) = loop {
-        // ---- P1: drain mail, publish the previous round's results and
-        // this worker's activity floor. Everything any decision reads is
-        // written here, before the rendezvous — the P2-end barrier keeps
-        // a fast worker's next P1 writes from racing a slow worker's
-        // current decision reads.
-        let mail = std::mem::take(&mut *ctx.cells[id].mailbox.lock().expect("mailbox"));
-        for s in mail {
-            heap.push(s);
-        }
-        ctx.cells[id].processed.store(cum, Relaxed);
-        if let Some((k, e)) = round_err.take() {
-            let mut cell = ctx.fault.lock().expect("fault cell");
-            if cell.as_ref().is_none_or(|(fk, _)| k < *fk) {
-                *cell = Some((k, e));
-            }
-        }
-        let mut act = heap.peek_key().map_or(u64::MAX, |k| k.time_ns);
-        for ls in &locals {
-            if let Some(t) = ls.gen.peek_ns() {
-                act = act.min(t);
-            }
-        }
-        ctx.cells[id].activity.store(act, Relaxed);
-        if let Some(src) = shared.as_deref() {
-            ctx.shared_peek
-                .store(src.peek_ns().unwrap_or(u64::MAX), Relaxed);
-        }
-        if ctx.barrier.wait().is_err() {
-            break (StopWhy::Died, 0);
-        }
-
-        // ---- Decision: every worker computes the identical reduction
-        // from the published cells, so they agree without messages.
-        let speek = ctx.shared_peek.load(Relaxed);
-        let mut gmin = speek;
-        let mut min_other = u64::MAX;
-        let mut total = 0u64;
-        for (w, cell) in ctx.cells.iter().enumerate() {
-            let a = cell.activity.load(Relaxed);
-            gmin = gmin.min(a);
-            if w != id {
-                min_other = min_other.min(a);
-            }
-            total += cell.processed.load(Relaxed);
-        }
-        if ctx.fault.lock().expect("fault cell").is_some() {
-            break (StopWhy::Fault, total);
-        }
-        // Overshoot from the previous round outranks "drained": each
-        // worker gets the full remaining budget, so a draining round can
-        // still blow past it — report fuel exhaustion exactly like the
-        // sequential engine would have at event `max_events + 1`.
-        if total > ctx.max_events {
-            break (StopWhy::Fuel, total);
-        }
-        if gmin == u64::MAX || gmin > ctx.max_time_ns {
-            break (StopWhy::Done, total);
-        }
-        if total >= ctx.max_events {
-            break (StopWhy::Fuel, total);
-        }
-
-        // ---- P2: process strictly below this worker's adaptive horizon.
-        // Two bounds, both needed: an arrival from an event already
-        // queued on a sibling is at least one wire hop past that
-        // sibling's activity floor (`min_other + link`), while an
-        // arrival from a *chain* event that is still in flight is at
-        // least two hops past the global minimum (`gmin + 2*link` —
-        // in-flight mail is itself a hop past some floor). The laggard
-        // therefore gets a double-wide window and everyone else the
-        // classic conservative one; a lone worker has no cross-worker
-        // causality at all and drains without bound. Shared-source
-        // arrivals carry absolute times, so the stream head clamps
-        // every horizon.
-        let mut horizon = if nworkers == 1 {
-            // A lone worker merges the shared stream head straight into
-            // its dispatch scan (below), so nothing clamps it: the whole
-            // run drains in one round with no synchronization at all.
-            u64::MAX
-        } else {
-            min_other
-                .saturating_add(ctx.link_ns)
-                .min(gmin.saturating_add(ctx.link_ns.saturating_mul(2)))
-                .min(speek)
-        };
-        if let Some(epoch) = ctx.epoch_cap {
-            horizon = horizon.min(gmin.saturating_add(epoch));
-        }
-        horizon = horizon.min(ctx.max_time_ns.saturating_add(1));
-        let budget = ctx.max_events - total;
-
-        // With siblings to feed, worker 0 materializes the shared stream
-        // one window ahead and mails each event to its owner (delivered
-        // next round; sound because every sibling horizon is clamped at
-        // the published stream head). Keys are pull-order-independent,
-        // so pulling ahead of execution cannot perturb the schedule.
-        if nworkers > 1 {
-            if let Some(src) = shared.as_deref_mut() {
-                let width = ctx.epoch_cap.unwrap_or(ctx.link_ns);
-                let pull_end = gmin
-                    .saturating_add(width)
-                    .min(ctx.max_time_ns.saturating_add(1));
-                loop {
-                    batch.clear();
-                    src.next_batch(pull_end.saturating_sub(1), SOURCE_CHUNK, &mut batch);
-                    if batch.is_empty() {
-                        break;
-                    }
-                    for ev in batch.drain(..) {
-                        let sched = shape_sourced(&exec.prog, &mut counts, ev);
-                        match ctx.owner.get(sched.switch) {
-                            Some(w) if w as usize == id => heap.push(sched),
-                            Some(w) => outgoing[w as usize].push(sched),
-                            None => {
-                                ctx.dropped.fetch_add(1, Relaxed);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        /// What the dispatch scan picked as the globally-next item.
-        enum Pick {
-            Queued,
-            Local(usize),
-            Shared,
-        }
-        let mut done = 0u64;
-        // Minimum time over every source head this worker can still pull
-        // (partitioned locals, plus the shared stream for a lone
-        // worker). Source heads move only on pulls, so the scan below
-        // refreshes this and the pull arms invalidate it; between
-        // pulls, dispatching a queued head strictly below the floor
-        // costs one integer compare instead of rebuilding and comparing
-        // a source key per head per event.
-        let mut src_floor: Option<u64> = None;
-        while done < budget {
-            // Smallest key among this worker's event heap and its
-            // partitioned source heads. One heap spans all of the
-            // worker's shards: its shards must interleave in global key
-            // order anyway (a sibling shard's emission can land below
-            // the horizon and has to sort between the events already
-            // queued), so a single pop beats a per-shard head scan.
-            let mut best: Option<(Key, Pick)> = None;
-            if let Some(k) = heap.peek_key() {
-                if k.time_ns < horizon {
-                    best = Some((k, Pick::Queued));
-                }
-            }
-            // Any source event's key starts at its head time, so a
-            // queued head strictly below every source head wins without
-            // a scan. Ties (and an empty or over-horizon heap) fall
-            // through to the full key comparison.
-            let scan = match (&best, src_floor) {
-                (Some((k, _)), Some(f)) => k.time_ns >= f,
-                _ => true,
-            };
-            if scan {
-                let mut floor = u64::MAX;
-                for (i, ls) in locals.iter().enumerate() {
-                    if let Some(t) = ls.gen.peek_ns() {
-                        floor = floor.min(t);
-                        if t < horizon {
-                            let key = Key {
-                                time_ns: t,
-                                class: 0,
-                                origin: ls.slot as u64 + 1,
-                                seq: counts.get(ls.slot).copied().unwrap_or(0) + 1,
-                            };
-                            if best.as_ref().is_none_or(|(bk, _)| key < *bk) {
-                                best = Some((key, Pick::Local(i)));
-                            }
-                        }
-                    }
-                }
-                // A lone worker owns every shard, so the shared stream
-                // needs no mailing ahead: its head competes in the scan
-                // under its exact schedule key and is pulled in chunks.
-                if nworkers == 1 {
-                    if let Some((t, slot)) = shared.as_deref().and_then(|s| s.peek_key()) {
-                        floor = floor.min(t);
-                        if t < horizon {
-                            let key = Key {
-                                time_ns: t,
-                                class: 0,
-                                origin: slot as u64 + 1,
-                                seq: counts.get(slot).copied().unwrap_or(0) + 1,
-                            };
-                            if best.as_ref().is_none_or(|(bk, _)| key < *bk) {
-                                best = Some((key, Pick::Shared));
-                            }
-                        }
-                    }
-                }
-                src_floor = Some(floor);
-            }
-            // Sourced keys are pull-order-independent, so a pull may
-            // materialize any prefix of a stream without perturbing the
-            // schedule. Cap each pull at the queued head (never below
-            // the winning source head's own time, so a time tie still
-            // makes progress): events past the queued head would only
-            // sit in the heap adding sift depth to every push, exactly
-            // the frontier the sequential driver's head-bounded refill
-            // avoids.
-            let pull_bound = |bk: Key, heap: &SchedHeap| {
-                heap.peek_key()
-                    .map_or(u64::MAX, |k| k.time_ns.saturating_sub(1).max(bk.time_ns))
-                    .min(horizon.saturating_sub(1))
-            };
-            match best {
-                None => break,
-                Some((bk, Pick::Local(i))) => {
-                    // Drain this generator's window below the cap in
-                    // chunks: every one of these events is due below the
-                    // horizon, so materializing them now (instead of one
-                    // per scan) cannot change any key.
-                    batch.clear();
-                    locals[i]
-                        .gen
-                        .next_batch(pull_bound(bk, &heap), SOURCE_CHUNK, &mut batch);
-                    for ev in batch.drain(..) {
-                        heap.push(shape_sourced(&exec.prog, &mut counts, ev));
-                    }
-                    src_floor = None;
-                    continue;
-                }
-                Some((bk, Pick::Shared)) => {
-                    let bound = pull_bound(bk, &heap);
-                    let src = shared.as_deref_mut().expect("peeked");
-                    batch.clear();
-                    src.next_batch(bound, SOURCE_CHUNK, &mut batch);
-                    for ev in batch.drain(..) {
-                        let sched = shape_sourced(&exec.prog, &mut counts, ev);
-                        if ctx.owner.get(sched.switch).is_some() {
-                            heap.push(sched);
-                        } else {
-                            ctx.dropped.fetch_add(1, Relaxed);
-                        }
-                    }
-                    src_floor = None;
-                    continue;
-                }
-                Some((_, Pick::Queued)) => {}
-            }
-            let sched = heap.pop().expect("peeked");
-            let idx = local(sched.switch);
-            if poisoned[idx] {
-                // A faulted shard sits out the rest of the run; stash
-                // its arrivals on the shard's own queue (off the hot
-                // path) so the driver parks them for a later run.
-                shards[idx].queue.push(Reverse(sched));
-                continue;
-            }
-            let shard = &mut shards[idx];
-            shard.now_ns = shard.now_ns.max(sched.key.time_ns);
-            done += 1;
-            let key = sched.key;
-            if let Err(e) = exec.dispatch(shard, sched) {
-                // Keep the smallest-key fault; this shard sits out the
-                // rest of the run. Its partial emissions still route
-                // below, exactly like the sequential engine's.
-                if round_err.as_ref().is_none_or(|(k, _)| key < *k) {
-                    round_err = Some((key, e));
-                }
-                poisoned[idx] = true;
-            }
-            // Route what the handler produced: same-worker siblings get
-            // immediate delivery (their arrivals can precede this round's
-            // horizon), remote workers get batched into the outgoing
-            // mail, flushed once per round.
-            let mut produced = std::mem::take(&mut shards[idx].outbox);
-            for ev in produced.drain(..) {
-                match ctx.owner.get(ev.switch) {
-                    Some(w) if w as usize == id => heap.push(ev),
-                    Some(w) => outgoing[w as usize].push(ev),
-                    None => {
-                        shards[idx].stats.dropped += 1;
-                        shards[idx].recycle_args(ev.args);
-                    }
-                }
-            }
-            shards[idx].outbox = produced;
-            // Surface the dispatch's buffers into the worker-run log in
-            // pop order, which already is this worker's global key order.
-            trace.append(&mut shards[idx].trace);
-            output.append(&mut shards[idx].output);
-            // A lone worker's round would otherwise be the whole run —
-            // stop at the first fault (which, in single-worker key
-            // order, is necessarily the smallest-key fault).
-            if nworkers == 1 && round_err.is_some() {
-                break;
-            }
-        }
-
-        // ---- End of round: flush the outgoing mail, one batched append
-        // per destination worker. The count and any fault are published
-        // at the next P1; appending here is safe because a mailbox is
-        // only drained at its owner's P1, on the far side of the P2-end
-        // barrier from every append.
-        cum += done;
-        for (w, batch) in outgoing.iter_mut().enumerate() {
-            if !batch.is_empty() {
-                ctx.cells[w].mailbox.lock().expect("mailbox").append(batch);
-            }
-        }
-        if ctx.barrier.wait().is_err() {
-            break (StopWhy::Died, 0);
-        }
-    };
-    WorkerOut {
-        shards,
-        heap,
-        trace,
-        output,
-        locals,
-        counts,
-        why,
-        total,
-    }
-}
-
 /// Shape one sourced event into a scheduled class-0 injection, assigning
 /// the key `(time, class 0, origin = source index + 1, seq = per-source
 /// pull count)` and bumping that source's counter (dropped events count
 /// too, mirroring the per-generator report rows).
 ///
 /// Keying sourced injections per *source* rather than by a global pull
-/// counter is what lets the sharded engine pull partitioned sources
-/// worker-locally: the key depends only on the source's own stream
-/// position, never on how pulls interleave globally. The total order is
+/// counter makes the key depend only on the source's own stream
+/// position, never on how far ahead the driver pulled. The total order is
 /// unchanged: [`crate::workload::Workload`] merges sources in (time,
 /// source-index) order with nondecreasing times per source — exactly the
 /// (time, origin, seq) order these keys encode — and explicitly scheduled
@@ -1817,7 +1189,7 @@ fn shape_sourced(
 ) -> Scheduled {
     if ev.source >= counts.len() {
         // Custom sources may misreport `source_count`; grow rather than
-        // lose the per-source sequencing both engines must agree on.
+        // lose the per-source sequencing the keys depend on.
         counts.resize(ev.source + 1, 0);
     }
     counts[ev.source] += 1;
@@ -1860,7 +1232,7 @@ pub struct Interp {
     pub config: NetConfig,
     /// One shard per configured switch, keyed by switch id.
     shards: BTreeMap<u64, Shard>,
-    /// Pending events between runs (and the sequential driver's queue).
+    /// Pending events between runs; a run moves them into its heap.
     queue: BinaryHeap<Reverse<Scheduled>>,
     /// Injection counter feeding [`Key::seq`] for external events.
     inj_seq: u64,
@@ -1884,10 +1256,10 @@ pub struct Interp {
     /// don't pay for a per-event log nobody reads.
     record_trace: bool,
     /// Lazily compiled bytecode, populated when [`NetConfig::exec`] is
-    /// [`ExecMode::Bytecode`] (shared with the worker pool).
+    /// [`ExecMode::Bytecode`].
     compiled: Option<Arc<CompiledProg>>,
-    /// Attached streaming injection source ([`Interp::set_source`]). Both
-    /// drivers drain it lazily — events materialize only when due, so a
+    /// Attached streaming injection source ([`Interp::set_source`]). The
+    /// driver drains it lazily — events materialize only when due, so a
     /// ten-million-event workload never builds an event vector.
     source: Option<Box<dyn EventSource + Send>>,
     /// Events injected per source index (for per-generator report rows).
@@ -1895,7 +1267,7 @@ pub struct Interp {
     /// Per-class latency histograms folded out of the shards once per
     /// run, keyed (switch, event name) for deterministic order. Each
     /// class lives on exactly one shard and histogram merge commutes, so
-    /// both engines accumulate bit-identical content here.
+    /// runs split at any horizon accumulate bit-identical content here.
     metrics_acc: BTreeMap<(u64, String), ClassHists>,
 }
 
@@ -2134,7 +1506,7 @@ impl Interp {
 
     /// Number of events still queued.
     pub fn pending(&self) -> usize {
-        self.queue.len() + self.shards.values().map(|s| s.queue.len()).sum::<usize>()
+        self.queue.len()
     }
 
     pub fn clear_trace(&mut self) {
@@ -2144,15 +1516,9 @@ impl Interp {
 
     /// Run until the queue drains, `max_events` have been handled, or the
     /// clock passes `max_time_ns` (events after the horizon stay queued).
-    /// Dispatches to the driver named by [`NetConfig::engine`].
     pub fn run(&mut self, max_events: u64, max_time_ns: u64) -> Result<(), InterpError> {
         self.ensure_compiled();
-        let res = match self.config.engine {
-            Engine::Sequential => self.run_sequential(max_events, max_time_ns),
-            Engine::Sharded { workers, epoch_ns } => {
-                self.run_sharded(max_events, max_time_ns, workers, epoch_ns)
-            }
-        };
+        let res = self.run_sequential(max_events, max_time_ns);
         // Per-event counts accumulate as plain id-indexed counters on
         // the shards (the dispatch path never touches a hash map); they
         // materialize into `Stats::per_event` once per run — faulted
@@ -2196,10 +1562,9 @@ impl Interp {
     }
 
     /// The per-event-class latency metrics accumulated so far, one row
-    /// per (switch, event) class in sorted order. Deterministic and
-    /// engine-independent: both engines yield bit-identical metrics
-    /// ([`Metrics::digest`]) on successful runs, same contract as state,
-    /// stats, and trace.
+    /// per (switch, event) class in sorted order. Deterministic: every
+    /// executor and opt level yields bit-identical metrics
+    /// ([`Metrics::digest`]), same contract as state, stats, and trace.
     pub fn metrics(&self) -> Metrics {
         Metrics::from_acc(&self.metrics_acc)
     }
@@ -2209,16 +1574,15 @@ impl Interp {
         self.run(1_000_000, u64::MAX)
     }
 
-    // ------------------------------------------------- sequential driver
+    // ------------------------------------------------------------ driver
 
     fn run_sequential(&mut self, max_events: u64, max_time_ns: u64) -> Result<(), InterpError> {
         let exec = self.exec();
         // Flatten the shard map for the dispatch loop: per-event routing
-        // must not hash (see [`SwitchMap`]), and the bookkeeping the old
-        // loop ran every event — a hash lookup per routed event, a stats
-        // absorb, trace/output drains — defers to one teardown pass,
-        // exactly like the sharded driver's round teardown. Per-event
-        // work is then: heap pop, flat-array route, dispatch, heap push.
+        // must not hash (see [`SwitchMap`]), and per-shard bookkeeping —
+        // stats absorb, trace/output resolution — defers to one teardown
+        // pass. Per-event work is then: heap pop, flat-array route,
+        // dispatch, heap push.
         let mut shards: Vec<Shard> = std::mem::take(&mut self.shards).into_values().collect();
         let pairs: Vec<(u64, u32)> = shards
             .iter()
@@ -2289,12 +1653,12 @@ impl Interp {
                 shard.now_ns = shard.now_ns.max(sched.key.time_ns);
                 let res = exec.dispatch(shard, sched);
                 // Route everything the handler produced (local and
-                // remote — the sequential exec sends both through the
-                // outbox) back to the global queue, and surface the
-                // shard's trace/output immediately: the pop order
-                // already is the deterministic key order, so appending
-                // here is the merge, for free. Stats stay buffered on
-                // the shard until teardown.
+                // remote — both go through the outbox) back to the
+                // queue, and surface the shard's trace/output
+                // immediately: the pop order already is the
+                // deterministic key order, so appending here keeps the
+                // run log sorted for free. Stats stay buffered on the
+                // shard until teardown.
                 let mut produced = std::mem::take(&mut shard.outbox);
                 for ev in produced.drain(..) {
                     if at.get(ev.switch).is_some() {
@@ -2312,234 +1676,20 @@ impl Interp {
                 }
             }
         };
-        // Teardown, fault exits included: resolve the run logs (the
-        // single-run fast path of the k-way merge — one bulk pass
-        // instead of per-event work), park undispatched events back on
-        // the persistent queue, absorb per-shard stats, and hand the
+        // Teardown, fault exits included: resolve the run logs (one bulk
+        // pass instead of per-event work), park undispatched events back
+        // on the persistent queue, absorb per-shard stats, and hand the
         // shards back to the map.
         let names = &self.names;
-        merge_sorted_runs(vec![trace_run], &mut self.trace, |r| r.into_handled(names));
+        resolve_run(trace_run, &mut self.trace, |r| r.into_handled(names));
         let cp = exec.compiled.as_deref();
-        merge_sorted_runs(vec![output_run], &mut self.output, |r| r.render(cp));
+        resolve_run(output_run, &mut self.output, |r| r.render(cp));
         self.queue.extend(heap.into_events().map(Reverse));
         for mut shard in shards {
             self.stats.absorb(&mut shard.stats);
             self.shards.insert(shard.switch, shard);
         }
         res
-    }
-
-    // ---------------------------------------------------- sharded driver
-
-    fn run_sharded(
-        &mut self,
-        max_events: u64,
-        max_time_ns: u64,
-        workers: usize,
-        epoch_ns: u64,
-    ) -> Result<(), InterpError> {
-        let link = self.config.link_latency_ns;
-        // A zero-latency wire admits no conservative epoch; a single shard
-        // has nothing to parallelize. Fall back to the reference engine.
-        if link == 0 || self.shards.len() <= 1 {
-            return self.run_sequential(max_events, max_time_ns);
-        }
-        // `epoch_ns == 0` (the default) means adaptive horizons; an
-        // explicit width additionally caps every round at
-        // `global_min + epoch` (never wider than one wire hop).
-        let epoch_cap = (epoch_ns != 0).then(|| epoch_ns.min(link));
-        let nworkers = if workers == 0 {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        } else {
-            workers
-        }
-        .clamp(1, self.shards.len());
-
-        // Static partition: shard i (in switch-id order) → worker i % W.
-        let shard_map = std::mem::take(&mut self.shards);
-        let mut pairs: Vec<(u64, u32)> = Vec::new();
-        let mut partitions: Vec<Vec<Shard>> = (0..nworkers).map(|_| Vec::new()).collect();
-        let mut seeds: Vec<SchedHeap> = (0..nworkers).map(|_| SchedHeap::default()).collect();
-        for (i, (id, mut shard)) in shard_map.into_iter().enumerate() {
-            let w = i % nworkers;
-            pairs.push((id, u32::try_from(w).expect("worker count fits u32")));
-            // Parked per-shard leftovers (a previous faulted run) rejoin
-            // the owning worker's heap.
-            for Reverse(ev) in std::mem::take(&mut shard.queue) {
-                seeds[w].push(ev);
-            }
-            partitions[w].push(shard);
-        }
-        let owner = SwitchMap::build(&pairs);
-
-        // Distribute pending events onto their owning workers' heaps.
-        let mut q = std::mem::take(&mut self.queue);
-        for Reverse(ev) in q.drain() {
-            match owner.get(ev.switch) {
-                Some(w) => seeds[w as usize].push(ev),
-                None => self.stats.dropped += 1,
-            }
-        }
-
-        // Detach the single-switch generators from the source and hand
-        // each to the worker owning its destination shard: those streams
-        // are pulled worker-locally with zero coordination. Whatever the
-        // source cannot split (multi-switch generators, capped
-        // workloads, custom sources) stays behind as the shared
-        // remainder, materialized by worker 0. Keys no longer depend on
-        // pull interleaving, so the partition cannot perturb execution.
-        let mut shared_src = self.source.take();
-        let mut local_parts: Vec<Vec<LocalGen>> = (0..nworkers).map(|_| Vec::new()).collect();
-        if let Some(src) = shared_src.as_mut() {
-            let owned = &owner;
-            for lg in src.detach_local(&|sw| owned.get(sw).is_some()) {
-                local_parts[owner.get(lg.switch).expect("detached switch is owned") as usize]
-                    .push(lg);
-            }
-        }
-        let counts0 = self.source_counts.clone();
-
-        let cells: Vec<WorkerCell> = (0..nworkers).map(|_| WorkerCell::default()).collect();
-        let shared_peek = AtomicU64::new(u64::MAX);
-        let dropped = AtomicU64::new(0);
-        let fault: Mutex<Option<(Key, InterpError)>> = Mutex::new(None);
-        let barrier = RoundBarrier::new(nworkers);
-        let ctx = RoundCtx {
-            cells: &cells,
-            shared_peek: &shared_peek,
-            dropped: &dropped,
-            fault: &fault,
-            barrier: &barrier,
-            owner: &owner,
-            link_ns: link,
-            epoch_cap,
-            max_events,
-            max_time_ns,
-        };
-        let exec = self.exec();
-
-        // The calling thread is worker 0 (and the only holder of the
-        // shared source remainder, which need not be `Send`).
-        let mut outs: Vec<WorkerOut> = Vec::with_capacity(nworkers);
-        std::thread::scope(|scope| {
-            let mut iter = partitions.into_iter().zip(seeds).zip(local_parts);
-            let ((shards0, seed0), locals0) = iter.next().expect("at least one worker");
-            let mut handles = Vec::with_capacity(nworkers - 1);
-            for (w, ((shards, seed), locals)) in iter.enumerate() {
-                let ctx = &ctx;
-                let exec = exec.clone();
-                let counts = counts0.clone();
-                handles.push(scope.spawn(move || {
-                    run_round_worker(
-                        ctx,
-                        &exec,
-                        w + 1,
-                        WorkerSeed {
-                            shards,
-                            heap: seed,
-                            locals,
-                            counts,
-                        },
-                        None,
-                    )
-                }));
-            }
-            outs.push(run_round_worker(
-                &ctx,
-                &exec,
-                0,
-                WorkerSeed {
-                    shards: shards0,
-                    heap: seed0,
-                    locals: locals0,
-                    counts: counts0,
-                },
-                shared_src.as_mut(),
-            ));
-            for handle in handles {
-                outs.push(handle.join().expect("worker panicked"));
-            }
-        });
-
-        // Merge points: everything below happens exactly once, after the
-        // pool has quiesced — no lock is contended and no order depends
-        // on thread timing.
-        let why = outs[0].why;
-        let total_processed = outs[0].total;
-        debug_assert!(why != StopWhy::Died, "a panicked worker fails the join");
-
-        // Pull counters: worker 0's copy advanced the shared slots; each
-        // partitioned slot advanced only on its owning worker.
-        let mut counts = std::mem::take(&mut outs[0].counts);
-        for out in outs.iter().skip(1) {
-            for lg in &out.locals {
-                counts[lg.slot] = out.counts[lg.slot];
-            }
-        }
-        self.source_counts = counts;
-
-        // Reattach the partitioned generators (cursors advanced to
-        // wherever the run ended) and put the source back.
-        let parts: Vec<LocalGen> = outs
-            .iter_mut()
-            .flat_map(|o| std::mem::take(&mut o.locals))
-            .collect();
-        if let Some(src) = shared_src.as_mut() {
-            src.reattach_local(parts);
-        } else {
-            debug_assert!(parts.is_empty(), "locals only detach from a source");
-        }
-        self.source = shared_src;
-
-        let mut traces: Vec<Vec<(Key, TraceRec)>> = Vec::with_capacity(nworkers);
-        let mut outputs: Vec<Vec<(Key, OutRec)>> = Vec::with_capacity(nworkers);
-        for (w, out) in outs.iter_mut().enumerate() {
-            // Mailboxes are drained at every round's P1 before the stop
-            // decision, so this is empty on all normal exits; it is a
-            // defensive park for the panic path.
-            let mail = std::mem::take(&mut *cells[w].mailbox.lock().expect("mailbox"));
-            self.queue.extend(mail.into_iter().map(Reverse));
-            // Undispatched heap events go straight back to the global
-            // queue so a later run (under either engine) sees them.
-            self.queue
-                .extend(std::mem::take(&mut out.heap).into_events().map(Reverse));
-            traces.push(std::mem::take(&mut out.trace));
-            outputs.push(std::mem::take(&mut out.output));
-            for mut shard in std::mem::take(&mut out.shards) {
-                // Park events stashed on a faulted shard, absorb its
-                // run-local stats, and advance the interpreter clock.
-                while let Some(ev) = shard.queue.pop() {
-                    self.queue.push(ev);
-                }
-                self.stats.absorb(&mut shard.stats);
-                self.now_ns = self.now_ns.max(shard.now_ns);
-                self.shards.insert(shard.switch, shard);
-            }
-        }
-        self.stats.processed += total_processed;
-        self.stats.dropped += dropped.load(Relaxed);
-        // Each worker's dispatch log is already key-sorted; one k-way
-        // merge (k = workers) recovers the global deterministic order,
-        // resolving interned ids (event names, printf formats) exactly
-        // once per record on the way out.
-        let names = &self.names;
-        merge_sorted_runs(traces, &mut self.trace, |r| r.into_handled(names));
-        let cp = self.compiled.clone();
-        merge_sorted_runs(outputs, &mut self.output, |r| r.render(cp.as_deref()));
-        match why {
-            StopWhy::Fault => {
-                let (_, e) = fault
-                    .into_inner()
-                    .expect("fault cell")
-                    .expect("fault stop implies a recorded fault");
-                Err(e)
-            }
-            StopWhy::Fuel => Err(InterpFault::FuelExhausted {
-                handled: total_processed,
-            }
-            .into()),
-            _ => Ok(()),
-        }
     }
 }
 
@@ -2625,10 +1775,10 @@ fn sorted_queue(q: &BinaryHeap<Reverse<Scheduled>>) -> Vec<&Scheduled> {
 
 impl Interp {
     /// Encode the full dynamic world — clock, stats, trace, `printf`
-    /// output, metrics, per-switch state, every pending queue, and the
+    /// output, metrics, per-switch state, the pending queue, and the
     /// attached source's cursors — into a deterministic byte stream.
-    /// Two worlds in the same state encode to identical bytes, whichever
-    /// engine produced them. Fails (without writing) when a custom
+    /// Two worlds in the same state encode to identical bytes, however
+    /// their runs were sliced. Fails (without writing) when a custom
     /// source does not support [`EventSource::save_state`].
     pub fn save_world(&self, out: &mut Vec<u8>) -> Result<(), String> {
         let mut src_bytes = None;
@@ -2684,11 +1834,9 @@ impl Interp {
             for arr in &shard.state.arrays {
                 w.u64s(arr);
             }
-            let parked = sorted_queue(&shard.queue);
-            w.u64(parked.len() as u64);
-            for s in parked {
-                encode_sched(&mut w, s);
-            }
+            // Per-shard parked events: always none. The slot stays so
+            // the byte layout is unchanged.
+            w.u64(0);
         }
         let queued = sorted_queue(&self.queue);
         w.u64(queued.len() as u64);
@@ -2786,6 +1934,7 @@ impl Interp {
                 self.shards.len()
             )));
         }
+        let mut parked = BinaryHeap::new();
         for _ in 0..n {
             let id = r.u64()?;
             let Some(shard) = self.shards.get_mut(&id) else {
@@ -2815,15 +1964,16 @@ impl Interp {
                 arrays.push(arr);
             }
             shard.state.arrays = arrays;
+            // Snapshots never write per-shard parked events; any a blob
+            // carries join the global queue.
             let nq = r.len(59, "parked events")?;
-            shard.queue = BinaryHeap::with_capacity(nq);
             for _ in 0..nq {
-                let s = decode_sched(&mut r, &self.prog)?;
-                shard.queue.push(Reverse(s));
+                parked.push(Reverse(decode_sched(&mut r, &self.prog)?));
             }
         }
         let nq = r.len(59, "pending events")?;
-        self.queue = BinaryHeap::with_capacity(nq);
+        self.queue = parked;
+        self.queue.reserve(nq);
         for _ in 0..nq {
             let s = decode_sched(&mut r, &self.prog)?;
             self.queue.push(Reverse(s));
@@ -2919,11 +2069,6 @@ impl Interp {
                     }
                 })
                 .collect();
-            for Reverse(mut s) in std::mem::take(&mut shard.queue) {
-                if remap(&mut s, &mut st) {
-                    shard.queue.push(Reverse(s));
-                }
-            }
             shard.per_event_ids = vec![0; nevents];
             shard.metrics = ShardMetrics::new(nevents);
         }
@@ -2990,44 +2135,14 @@ impl Interp {
     }
 }
 
-/// K-way merge of key-sorted runs into `out`, dropping the keys and
-/// mapping each record through `f` (the id-to-name resolution step).
-/// Each run must be internally sorted (debug-asserted); equal keys can
-/// only be adjacent records of one run (several printf lines from a
-/// single handler activation) and keep their order — across runs every
-/// [`Key`] is globally unique, so ties between runs are impossible.
-fn merge_sorted_runs<T, U>(
-    mut runs: Vec<Vec<(Key, T)>>,
-    out: &mut Vec<U>,
-    mut f: impl FnMut(T) -> U,
-) {
-    out.reserve(runs.iter().map(Vec::len).sum());
-    runs.retain(|r| !r.is_empty());
-    if let [run] = &mut runs[..] {
-        // One non-empty run (every single-worker run): already in order.
-        debug_assert!(run.windows(2).all(|w| w[0].0 <= w[1].0), "run not sorted");
-        out.extend(std::mem::take(run).into_iter().map(|(_, v)| f(v)));
-        return;
-    }
-    let mut iters: Vec<std::iter::Peekable<std::vec::IntoIter<(Key, T)>>> = runs
-        .into_iter()
-        .map(|r| {
-            debug_assert!(r.windows(2).all(|w| w[0].0 <= w[1].0), "run not sorted");
-            r.into_iter().peekable()
-        })
-        .collect();
-    let mut heap: BinaryHeap<Reverse<(Key, usize)>> = iters
-        .iter_mut()
-        .enumerate()
-        .filter_map(|(i, it)| it.peek().map(|(k, _)| Reverse((*k, i))))
-        .collect();
-    while let Some(Reverse((_, i))) = heap.pop() {
-        let (_, v) = iters[i].next().expect("peeked");
-        out.push(f(v));
-        if let Some((k, _)) = iters[i].peek() {
-            heap.push(Reverse((*k, i)));
-        }
-    }
+/// Resolve a run's dispatch log into `out`, dropping the keys and
+/// mapping each record through `f` (the id-to-name resolution step). The
+/// driver appends records in pop order, which is key order
+/// (debug-asserted); equal keys are adjacent records of one handler
+/// activation (several printf lines) and keep their order.
+fn resolve_run<T, U>(run: Vec<(Key, T)>, out: &mut Vec<U>, mut f: impl FnMut(T) -> U) {
+    debug_assert!(run.windows(2).all(|w| w[0].0 <= w[1].0), "run not sorted");
+    out.extend(run.into_iter().map(|(_, v)| f(v)));
 }
 
 fn value_of(ty: Ty, raw: u64) -> Value {
@@ -3455,7 +2570,7 @@ mod tests {
         assert_eq!(times, sorted);
     }
 
-    // ------------------------------------------------- sharded engine
+    // ---------------------------------------------- fuel, faults, resume
 
     /// A mesh program with heavy cross-switch traffic: every packet bumps
     /// a local sketch, then forwards to a hash-picked neighbor until its
@@ -3477,74 +2592,10 @@ mod tests {
         }
         "#;
 
-    fn run_mesh(engine: Engine) -> (Vec<Vec<u64>>, Stats, Vec<Handled>, Vec<String>) {
-        let prog = checked(MESH_MIX);
-        let mut cfg = NetConfig::mesh(8);
-        cfg.engine = engine;
-        let mut i = Interp::new(&prog, cfg);
-        for s in 1..=8u64 {
-            for k in 0..6u64 {
-                i.schedule(s, k * 400, "pkt", &[s * 17 + k, k, 4]).unwrap();
-            }
-        }
-        i.run_to_quiescence().unwrap();
-        let arrays: Vec<Vec<u64>> = (1..=8u64)
-            .flat_map(|s| vec![i.array(s, "cnt").to_vec(), i.array(s, "mix").to_vec()])
-            .collect();
-        (arrays, i.stats.clone(), i.trace.clone(), i.output.clone())
-    }
-
     #[test]
-    fn sharded_engine_is_bit_identical_to_sequential() {
-        let (seq_arrays, seq_stats, seq_trace, seq_out) = run_mesh(Engine::Sequential);
-        let (sh_arrays, sh_stats, sh_trace, sh_out) = run_mesh(Engine::Sharded {
-            workers: 4,
-            epoch_ns: 0,
-        });
-        assert_eq!(seq_arrays, sh_arrays, "final array state must match");
-        assert_eq!(seq_stats, sh_stats, "statistics must match");
-        assert_eq!(seq_trace, sh_trace, "merged trace must match");
-        assert_eq!(seq_out, sh_out);
-        assert!(seq_stats.sent_remote > 100, "workload must cross switches");
-    }
-
-    #[test]
-    fn sharded_engine_narrow_epoch_still_identical() {
-        let (seq_arrays, seq_stats, ..) = run_mesh(Engine::Sequential);
-        let (sh_arrays, sh_stats, ..) = run_mesh(Engine::Sharded {
-            workers: 2,
-            epoch_ns: 250,
-        });
-        assert_eq!(seq_arrays, sh_arrays);
-        assert_eq!(seq_stats, sh_stats);
-    }
-
-    #[test]
-    fn sharded_fuel_exhaustion_reports_error() {
-        let prog = checked(
-            r#"
-            event spin();
-            handle spin() { generate spin(); }
-            "#,
-        );
-        let mut cfg = NetConfig::mesh(2);
-        cfg.engine = Engine::Sharded {
-            workers: 2,
-            epoch_ns: 0,
-        };
-        let mut i = Interp::new(&prog, cfg);
-        i.schedule(1, 0, "spin", &[]).unwrap();
-        let err = i.run(1_000, u64::MAX).unwrap_err();
-        assert!(
-            matches!(err.kind, InterpFault::FuelExhausted { .. }),
-            "{err}"
-        );
-    }
-
-    #[test]
-    fn sharded_zero_latency_loop_hits_fuel_instead_of_hanging() {
-        // recirc_latency_ns == 0 lets a self-generating event stay inside
-        // one epoch forever; the per-epoch budget must bound it.
+    fn zero_latency_loop_hits_fuel_instead_of_hanging() {
+        // recirc_latency_ns == 0 keeps a self-generating event at one
+        // instant forever; the event budget must still bound it.
         let prog = checked(
             r#"
             event spin();
@@ -3553,25 +2604,20 @@ mod tests {
         );
         let mut cfg = NetConfig::mesh(2);
         cfg.recirc_latency_ns = 0;
-        cfg.engine = Engine::Sharded {
-            workers: 2,
-            epoch_ns: 0,
-        };
         let mut i = Interp::new(&prog, cfg);
         i.schedule(1, 0, "spin", &[]).unwrap();
         let err = i.run(500, u64::MAX).unwrap_err();
         assert!(
-            matches!(err.kind, InterpFault::FuelExhausted { .. }),
+            matches!(err.kind, InterpFault::FuelExhausted { handled: 500 }),
             "{err}"
         );
     }
 
     #[test]
-    fn sharded_overshoot_that_drains_the_queue_still_errs() {
-        // 12 same-epoch events across 2 workers, budget 10: each worker
-        // gets the full remaining budget, so the round drains the queue
-        // while exceeding max_events — that must still be FuelExhausted,
-        // as the sequential engine would have reported at event 11.
+    fn budget_overrun_that_would_drain_the_queue_still_errs() {
+        // 12 events, budget 10: the run stops with FuelExhausted at the
+        // 11th pop even though two more would have drained the queue,
+        // and those two stay queued.
         let prog = checked(
             r#"
             global n = new Array<<32>>(1);
@@ -3580,12 +2626,7 @@ mod tests {
             handle ping() { Array.setm(n, 0, plus, 1); }
             "#,
         );
-        let mut cfg = NetConfig::mesh(2);
-        cfg.engine = Engine::Sharded {
-            workers: 2,
-            epoch_ns: 0,
-        };
-        let mut i = Interp::new(&prog, cfg);
+        let mut i = Interp::new(&prog, NetConfig::mesh(2));
         for s in [1u64, 2] {
             for k in 0..6u64 {
                 i.schedule(s, k, "ping", &[]).unwrap();
@@ -3593,13 +2634,14 @@ mod tests {
         }
         let err = i.run(10, u64::MAX).unwrap_err();
         assert!(
-            matches!(err.kind, InterpFault::FuelExhausted { .. }),
+            matches!(err.kind, InterpFault::FuelExhausted { handled: 10 }),
             "{err}"
         );
+        assert_eq!(i.pending(), 2);
     }
 
     #[test]
-    fn sharded_runtime_fault_is_deterministic() {
+    fn runtime_fault_reports_the_earliest_event() {
         let prog = checked(
             r#"
             global a = new Array<<32>>(4);
@@ -3607,14 +2649,9 @@ mod tests {
             handle go(int i) { Array.set(a, i, 1); }
             "#,
         );
-        let mut cfg = NetConfig::mesh(4);
-        cfg.engine = Engine::Sharded {
-            workers: 4,
-            epoch_ns: 0,
-        };
-        let mut i = Interp::new(&prog, cfg);
-        // Two out-of-bounds faults in the same epoch: the smaller key
-        // (earlier time) must win every run.
+        let mut i = Interp::new(&prog, NetConfig::mesh(4));
+        // Two out-of-bounds faults: the smaller key (earlier time) wins,
+        // whatever the schedule order.
         i.schedule(3, 100, "go", &[9]).unwrap();
         i.schedule(2, 50, "go", &[7]).unwrap();
         let err = i.run_to_quiescence().unwrap_err();
@@ -3622,17 +2659,14 @@ mod tests {
             matches!(err.kind, InterpFault::IndexOutOfBounds { index: 7, .. }),
             "{err}"
         );
+        let at = err.at.expect("fault carries its event");
+        assert_eq!((at.time_ns, at.switch), (50, 2));
     }
 
     #[test]
     fn failed_switch_drops_and_recovers_under_both_engines() {
-        for engine in [
-            Engine::Sequential,
-            Engine::Sharded {
-                workers: 2,
-                epoch_ns: 0,
-            },
-        ] {
+        // Both handler engines: the AST walker and the bytecode executor.
+        for exec in [ExecMode::Ast, ExecMode::Bytecode] {
             let prog = checked(
                 r#"
                 global seen = new Array<<32>>(4);
@@ -3642,26 +2676,27 @@ mod tests {
                 "#,
             );
             let mut cfg = NetConfig::mesh(2);
-            cfg.engine = engine;
+            cfg.exec = exec;
             let mut i = Interp::new(&prog, cfg);
             i.fail_switch(2);
             i.schedule(2, 0, "pkt", &[]).unwrap();
             i.schedule(1, 0, "pkt", &[]).unwrap();
             i.run_to_quiescence().unwrap();
-            assert_eq!(i.stats.dropped, 1, "{engine:?}");
+            assert_eq!(i.stats.dropped, 1, "{exec:?}");
             assert_eq!(i.array(1, "seen")[0], 1);
             assert!(i.try_array(2, "seen").is_none());
             i.recover_switch(2);
             i.schedule(2, 10_000, "pkt", &[]).unwrap();
             i.run_to_quiescence().unwrap();
-            assert_eq!(i.array(2, "seen")[0], 1, "{engine:?}");
+            assert_eq!(i.array(2, "seen")[0], 1, "{exec:?}");
         }
     }
 
     #[test]
     fn resumed_runs_cross_engines() {
-        // A run under the sequential engine can be resumed under the
-        // sharded one: pending events survive in the global queue.
+        // A run paused at a horizon under the AST walker can be resumed
+        // under the bytecode executor: pending events survive in the
+        // queue, and the result matches one uninterrupted run.
         let prog = checked(MESH_MIX);
         let mut i = Interp::new(&prog, NetConfig::mesh(8));
         for s in 1..=8u64 {
@@ -3670,10 +2705,7 @@ mod tests {
         i.run(1_000_000, 2_000).unwrap();
         let mid_pending = i.pending();
         assert!(mid_pending > 0, "horizon must leave events queued");
-        i.config.engine = Engine::Sharded {
-            workers: 3,
-            epoch_ns: 0,
-        };
+        i.config.exec = ExecMode::Bytecode;
         i.run_to_quiescence().unwrap();
         assert_eq!(i.pending(), 0);
 
@@ -3687,122 +2719,46 @@ mod tests {
             assert_eq!(i.array(s, "mix"), j.array(s, "mix"));
         }
         assert_eq!(i.stats, j.stats);
+        assert_eq!(i.trace, j.trace);
+        assert_eq!(i.metrics().digest(), j.metrics().digest());
+        assert!(i.stats.sent_remote > 100, "workload must cross switches");
     }
 
-    // --------------------------------------- mailbox/epoch stress tests
+    #[test]
+    fn snapshot_parked_events_join_the_global_queue() {
+        // The world layout keeps a per-switch parked-event list that is
+        // always written empty; entries a blob does carry there load
+        // into the global queue and run like any other pending event.
+        let prog = checked(MESH_MIX);
+        let world = || Interp::new(&prog, NetConfig::mesh(2));
+        let mut full = Vec::new();
+        let mut queued = world();
+        queued.schedule(2, 0, "pkt", &[1, 2, 1]).unwrap();
+        queued.save_world(&mut full).unwrap();
+        let mut empty = Vec::new();
+        world().save_world(&mut empty).unwrap();
 
-    /// Adversarial cross-shard traffic for the mailbox/epoch machinery:
-    /// `spray` funnels every switch's emissions into one hotspot switch
-    /// (all of a round's mail lands in a single mailbox), and `ping`
-    /// bounces a chain between two switches with exactly one wire hop
-    /// per step — the worst case for conservative horizons, where every
-    /// dispatch depends on mail from the previous round.
-    const STRESS: &str = r#"
-        global hits = new Array<<32>>(16);
-        memop plus(int m, int x) { return m + x; }
-        event hot(int from);
-        handle hot(int from) { Array.setm(hits, from & 15, plus, 1); }
-        event spray(int from, int hub);
-        handle spray(int from, int hub) {
-            Array.setm(hits, 0, plus, 1);
-            generate Event.locate(hot(from), hub);
-        }
-        event ping(int n, int me, int peer);
-        handle ping(int n, int me, int peer) {
-            Array.setm(hits, n & 15, plus, 1);
-            if (n > 0) { generate Event.locate(ping(n - 1, peer, me), peer); }
-        }
-    "#;
+        // Both blobs end with: switch 2's parked count, the pending
+        // count, the pending events, and the no-source flag.
+        let prefix = empty.len() - 17;
+        assert_eq!(full[prefix..prefix + 8], 0u64.to_le_bytes());
+        assert_eq!(full[prefix + 8..prefix + 16], 1u64.to_le_bytes());
+        let event = &full[prefix + 16..full.len() - 1];
+        let mut parked = full[..prefix].to_vec();
+        parked.extend_from_slice(&1u64.to_le_bytes());
+        parked.extend_from_slice(event);
+        parked.extend_from_slice(&0u64.to_le_bytes());
+        parked.push(0);
 
-    type Snapshot = (Vec<Vec<u64>>, Stats, Vec<Handled>, Vec<String>, u64);
-
-    /// Run the stress schedule to quiescence; returns every observable
-    /// plus the leftover queue depth (which must always be zero — a
-    /// starved mailbox or a horizon that stopped advancing would leave
-    /// events stranded).
-    fn run_stress(
-        engine: Engine,
-        switches: u64,
-        schedule: &[(u64, u64, &'static str, Vec<u64>)],
-    ) -> (Snapshot, usize) {
-        let prog = checked(STRESS);
-        let mut cfg = NetConfig::mesh(switches);
-        cfg.engine = engine;
-        let mut i = Interp::new(&prog, cfg);
-        for (sw, t, ev, args) in schedule {
-            i.schedule(*sw, *t, ev, args).unwrap();
-        }
-        i.run_to_quiescence().unwrap();
-        let arrays = (1..=switches)
-            .map(|s| i.array(s, "hits").to_vec())
-            .collect();
-        (
-            (
-                arrays,
-                i.stats.clone(),
-                i.trace.clone(),
-                i.output.clone(),
-                i.metrics().digest(),
-            ),
-            i.pending(),
-        )
-    }
-
-    use proptest::prelude::*;
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(16))]
-
-        /// Hotspot + ping-pong + bursty phases, across worker counts and
-        /// epoch overrides: the sharded engine must drain completely
-        /// (no starvation) and reproduce the sequential run bit for bit.
-        #[test]
-        fn mailbox_stress_stays_deterministic_and_drains(
-            switches in 2u64..=6,
-            wsel in 0usize..6,
-            esel in 0usize..4,
-            // (silence before the phase, burst length, intra-burst spacing):
-            // long gaps force the adaptive horizon to leap between
-            // activity floors; spacing 0 lands whole bursts on one tick.
-            bursts in proptest::collection::vec(
-                (0u64..=20_000, 1usize..=12, 0u64..=3),
-                1..5,
-            ),
-            // (chain length, endpoint selectors)
-            pings in proptest::collection::vec(
-                (1u64..=6, proptest::prelude::any::<u64>(), proptest::prelude::any::<u64>()),
-                0..6,
-            ),
-        ) {
-            let workers = [1usize, 2, 3, 4, 7, 8][wsel];
-            let epoch_ns = [0u64, 1, 250, 1_000][esel];
-            let mut schedule: Vec<(u64, u64, &'static str, Vec<u64>)> = Vec::new();
-            let mut t = 0u64;
-            for (k, (gap, n, spacing)) in bursts.iter().enumerate() {
-                t += gap;
-                // Rotate the hotspot between phases so ownership of the
-                // hammered mailbox moves across workers.
-                let hub = (k as u64 % switches) + 1;
-                for j in 0..*n {
-                    let from = (j as u64 % switches) + 1;
-                    schedule.push((from, t, "spray", vec![from * 31 + j as u64, hub]));
-                    t += spacing;
-                }
-            }
-            for (k, (n, a, b)) in pings.iter().enumerate() {
-                let me = (a % switches) + 1;
-                let peer = (b % switches) + 1;
-                schedule.push((me, (k as u64) * 500, "ping", vec![*n, me, peer]));
-            }
-
-            let (reference, seq_pending) = run_stress(Engine::Sequential, switches, &schedule);
-            prop_assert_eq!(seq_pending, 0);
-            let (got, pending) =
-                run_stress(Engine::Sharded { workers, epoch_ns }, switches, &schedule);
-            // A nonzero count here means the sharded run left events
-            // stranded (starved mailbox / stuck horizon).
-            prop_assert_eq!(pending, 0);
-            prop_assert_eq!(&reference, &got);
-        }
+        let mut restored = world();
+        restored.load_world(&parked).unwrap();
+        assert_eq!(restored.pending(), 1);
+        let mut resaved = Vec::new();
+        restored.save_world(&mut resaved).unwrap();
+        assert_eq!(resaved, full, "the parked event re-saves as pending");
+        restored.run_to_quiescence().unwrap();
+        queued.run_to_quiescence().unwrap();
+        assert_eq!(restored.stats, queued.stats);
+        assert_eq!(restored.array(2, "cnt"), queued.array(2, "cnt"));
     }
 }

@@ -16,9 +16,9 @@
 //!   injections, which are scheduled at their own arrival instant).
 //!
 //! Both measurements are pure functions of the deterministic event
-//! [`Key`](crate::machine) order, never of wall time or engine choice, so
-//! the sequential and sharded engines produce **bit-identical** metrics —
-//! [`Metrics::digest`] joins `state_digest` as a cross-engine equality
+//! [`Key`](crate::machine) order, never of wall time, executor, or opt
+//! level, so every combination produces **bit-identical** metrics —
+//! [`Metrics::digest`] joins `state_digest` as a cross-executor equality
 //! check, and the differential suites assert it.
 //!
 //! Samples land in [`Histogram`]s: log-bucketed (one bucket per power of
@@ -30,7 +30,7 @@
 //!
 //! Percentiles ([`Histogram::quantile`]) interpolate linearly inside the
 //! selected bucket in pure integer arithmetic, clamped by the exact
-//! min/max, so a report's p50/p90/p99/p999 are engine-independent too.
+//! min/max, so a report's p50/p90/p99/p999 are executor-independent too.
 
 use crate::scenario::json_escape;
 use std::collections::BTreeMap;
@@ -148,7 +148,7 @@ impl Histogram {
     }
 
     /// The `num/den` quantile (e.g. `quantile(99, 100)` for p99), in pure
-    /// integer arithmetic so every engine and platform agrees bit-for-bit:
+    /// integer arithmetic so every executor and platform agrees bit-for-bit:
     /// pick the sample of rank `ceil(count * num / den)` (clamped to
     /// `[1, count]`), then interpolate linearly across its bucket's value
     /// range, tightened by the exact global min/max. Empty histograms
@@ -349,7 +349,7 @@ impl ClassMetrics {
     }
 }
 
-/// The merged, engine-independent metrics of one simulation run: every
+/// The merged, executor-independent metrics of one simulation run: every
 /// event class in (switch, event-name) order. Built by the interpreter at
 /// run end from the per-shard collectors.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -420,8 +420,8 @@ impl Metrics {
 
     /// FNV-1a over every class's name, switch, and full histogram
     /// content, in sorted class order. Two runs agree on this exactly
-    /// when their metrics are bit-identical — the engine-determinism
-    /// check, same contract as `state_digest`.
+    /// when their metrics are bit-identical — the determinism check,
+    /// same contract as `state_digest`.
     pub fn digest(&self) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         let mut mix = |x: u64| {

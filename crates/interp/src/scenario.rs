@@ -7,7 +7,6 @@
 //!
 //! * `net` — the topology and timing ([`NetConfig`]): a switch list (or a
 //!   mesh size) plus wire/recirculation latencies;
-//! * `engine` — which driver runs it (`"sequential"` or `"sharded"`);
 //! * `limits` — event budget and virtual-time horizon;
 //! * `init` — initial array state, applied with [`Interp::poke`];
 //! * `events` — timed external injections;
@@ -23,6 +22,12 @@
 
 use crate::bytecode::{ExecMode, OptLevel};
 use crate::machine::{Engine, Interp, InterpError, NetConfig, Stats};
+
+/// The most switches a scenario topology may declare. Every shard holds
+/// a full copy of the program's arrays, so an unbounded mesh size would
+/// let one line of JSON exhaust memory; this sits far above every bundled
+/// and benchmark topology (the largest has 16 switches).
+pub const MAX_SWITCHES: u64 = 1024;
 use crate::metrics::{MetricSel, Metrics};
 use crate::workload::{ArgDist, GenSpec, Phase};
 use lucid_check::{mask, CheckedProgram};
@@ -273,7 +278,6 @@ pub struct Scenario {
     pub switches: Vec<u64>,
     pub link_latency_ns: u64,
     pub recirc_latency_ns: u64,
-    pub engine: Engine,
     pub exec: ExecMode,
     /// Bytecode optimization level (`"opt"`; default 2, the full
     /// pipeline). `lucidc sim --opt` overrides it.
@@ -295,12 +299,11 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// The [`NetConfig`] this scenario describes, with optional engine,
-    /// executor, and opt-level overrides (e.g. from `lucidc sim
-    /// --engine=...` / `--exec=...` / `--opt=...`).
+    /// The [`NetConfig`] this scenario describes, with optional executor
+    /// and opt-level overrides (e.g. from `lucidc sim --exec=...` /
+    /// `--opt=...`).
     pub fn net_config(
         &self,
-        engine_override: Option<Engine>,
         exec_override: Option<ExecMode>,
         opt_override: Option<OptLevel>,
     ) -> NetConfig {
@@ -308,7 +311,6 @@ impl Scenario {
             switches: self.switches.clone(),
             link_latency_ns: self.link_latency_ns,
             recirc_latency_ns: self.recirc_latency_ns,
-            engine: engine_override.unwrap_or(self.engine),
             exec: exec_override.unwrap_or(self.exec),
             opt: opt_override.unwrap_or(self.opt),
         }
@@ -325,7 +327,6 @@ impl Scenario {
                 "name",
                 "description",
                 "net",
-                "engine",
                 "exec",
                 "opt",
                 "limits",
@@ -369,9 +370,15 @@ impl Scenario {
                                 "a mesh needs at least one switch",
                             ));
                         }
+                        if n > MAX_SWITCHES {
+                            return Err(too_many_switches(n));
+                        }
                         (1..=n).collect()
                     }
                     json::Json::Arr(items) => {
+                        if items.len() as u64 > MAX_SWITCHES {
+                            return Err(too_many_switches(items.len() as u64));
+                        }
                         let mut ids = Vec::with_capacity(items.len());
                         for (i, item) in items.iter().enumerate() {
                             ids.push(u64_of(item, &format!("$.net.switches[{i}]"))?);
@@ -408,46 +415,6 @@ impl Scenario {
                 recirc_latency_ns = u64_of(j, "$.net.recirc_latency_ns")?;
             }
         }
-
-        let engine = match get(fields, "engine") {
-            None => Engine::Sequential,
-            Some(json::Json::Str(s)) => Engine::parse(s).ok_or_else(|| {
-                ScenarioError::schema(
-                    "$.engine",
-                    format!("unknown engine `{s}` (expected `sequential` or `sharded`)"),
-                )
-            })?,
-            Some(j @ json::Json::Obj(_)) => {
-                let ef = obj(j, "$.engine")?;
-                check_keys(ef, &["kind", "workers", "epoch_ns"], "$.engine")?;
-                let kind = str_of(req(ef, "kind", "$.engine")?, "$.engine.kind")?;
-                match Engine::parse(kind) {
-                    Some(Engine::Sequential) => Engine::Sequential,
-                    Some(Engine::Sharded { .. }) => Engine::Sharded {
-                        workers: get(ef, "workers")
-                            .map(|j| u64_of(j, "$.engine.workers"))
-                            .transpose()?
-                            .unwrap_or(0) as usize,
-                        epoch_ns: get(ef, "epoch_ns")
-                            .map(|j| u64_of(j, "$.engine.epoch_ns"))
-                            .transpose()?
-                            .unwrap_or(0),
-                    },
-                    None => {
-                        return Err(ScenarioError::schema(
-                            "$.engine.kind",
-                            format!("unknown engine `{kind}`"),
-                        ))
-                    }
-                }
-            }
-            Some(_) => {
-                return Err(ScenarioError::schema(
-                    "$.engine",
-                    "expected an engine name or {kind, workers, epoch_ns}",
-                ))
-            }
-        };
 
         let exec = match get(fields, "exec") {
             None => ExecMode::Ast,
@@ -682,7 +649,6 @@ impl Scenario {
             switches,
             link_latency_ns,
             recirc_latency_ns,
-            engine,
             exec,
             opt,
             max_events,
@@ -1029,14 +995,14 @@ pub struct SimReport {
     /// FNV-1a digest of every switch's final array state, in switch and
     /// declaration order (failed switches hash as a marker). Two runs of
     /// one scenario agree on this exactly when their final states are
-    /// byte-identical — the cheap cross-engine determinism check.
+    /// byte-identical — the cheap cross-executor determinism check.
     pub state_digest: u64,
     /// Per-generator injection counts, in declaration order (empty when
     /// the scenario has no `generators` section).
     pub gens: Vec<(String, u64)>,
     /// Per-event-class latency metrics (dispatch latency and queue
     /// residency histograms with tail percentiles). Deterministic and
-    /// engine-independent like `state_digest`.
+    /// executor-independent like `state_digest`.
     pub metrics: Metrics,
     pub mismatches: Vec<Mismatch>,
 }
@@ -1129,27 +1095,20 @@ impl SimReport {
 // ----------------------------------------------------------------- runner
 
 /// Run-time knobs layered over a scenario's own choices (`lucidc sim
-/// --engine/--exec/--opt/--workers/--seed/--events/--no-trace`).
-/// [`Default`] overrides nothing; the builder methods set one knob each
-/// and chain:
+/// --exec/--opt/--seed/--events/--no-trace`). [`Default`] overrides
+/// nothing; the builder methods set one knob each and chain:
 ///
 /// ```
-/// use lucid_interp::{Engine, SimOptions};
-/// let opts = SimOptions::new().engine(Engine::Sequential).seed(7).record_trace(false);
+/// use lucid_interp::{ExecMode, SimOptions};
+/// let opts = SimOptions::new().exec(ExecMode::Bytecode).seed(7).record_trace(false);
 /// assert_eq!(opts.seed, Some(7));
 /// ```
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SimOptions {
-    pub engine: Option<Engine>,
     pub exec: Option<ExecMode>,
     /// Replaces the scenario's bytecode optimization level (`--opt`;
     /// a no-op under the AST walker).
     pub opt: Option<OptLevel>,
-    /// Forces the sharded engine with this worker count (`0`: one per
-    /// core), whatever engine the scenario or the `engine` override
-    /// picked. The epoch length is kept when the resolved engine was
-    /// already sharded, adaptive otherwise.
-    pub workers: Option<usize>,
     /// Replaces the scenario's top-level `seed` (reshuffles every
     /// generator stream).
     pub seed: Option<u64>,
@@ -1178,8 +1137,11 @@ impl SimOptions {
         SimOptions::default()
     }
 
-    pub fn engine(mut self, engine: Engine) -> SimOptions {
-        self.engine = Some(engine);
+    /// Picks the driver. There is only [`Engine::Sequential`], so this
+    /// changes nothing.
+    #[deprecated(note = "there is one engine; a later benchmark revision removes this call")]
+    pub fn engine(self, engine: Engine) -> SimOptions {
+        let _ = engine;
         self
     }
 
@@ -1190,11 +1152,6 @@ impl SimOptions {
 
     pub fn opt(mut self, opt: OptLevel) -> SimOptions {
         self.opt = Some(opt);
-        self
-    }
-
-    pub fn workers(mut self, workers: usize) -> SimOptions {
-        self.workers = Some(workers);
         self
     }
 
@@ -1214,46 +1171,26 @@ impl SimOptions {
     }
 
     /// Resolve the effective network configuration for `sc`: the
-    /// scenario's choices, overridden knob by knob, with `workers`
-    /// folded into the engine last.
+    /// scenario's choices, overridden knob by knob.
     pub(crate) fn resolve(&self, sc: &Scenario) -> NetConfig {
-        let mut cfg = sc.net_config(self.engine, self.exec, self.opt);
-        if let Some(w) = self.workers {
-            cfg.engine = match cfg.engine {
-                Engine::Sharded { epoch_ns, .. } => Engine::Sharded {
-                    workers: w,
-                    epoch_ns,
-                },
-                Engine::Sequential => Engine::Sharded {
-                    workers: w,
-                    epoch_ns: 0,
-                },
-            };
-        }
-        cfg
+        sc.net_config(self.exec, self.opt)
     }
 }
 
-/// The pre-redesign name of [`SimOptions`].
-#[deprecated(note = "renamed to SimOptions")]
-pub type SimOverrides = SimOptions;
-
-/// Validate and execute a scenario against a checked program. The engine
-/// and executor can be overridden (CLI `--engine` / `--exec`); otherwise
-/// the scenario's own choices run. Expectation failures are *not* errors
-/// — they come back in [`SimReport::mismatches`] so the caller can render
-/// all of them.
+/// Validate and execute a scenario against a checked program. The
+/// executor can be overridden (CLI `--exec`); otherwise the scenario's
+/// own choice runs. Expectation failures are *not* errors — they come
+/// back in [`SimReport::mismatches`] so the caller can render all of
+/// them.
 pub fn run_scenario(
     prog: &CheckedProgram,
     sc: &Scenario,
-    engine_override: Option<Engine>,
     exec_override: Option<ExecMode>,
 ) -> Result<SimReport, SimRunError> {
     run_scenario_with(
         prog,
         sc,
         &SimOptions {
-            engine: engine_override,
             exec: exec_override,
             ..SimOptions::default()
         },
@@ -1274,8 +1211,8 @@ pub fn run_scenario_with(
     session.drain()
 }
 
-/// FNV-1a over every configured switch's final arrays. Sorted switch
-/// order and declaration order make it engine-independent.
+/// FNV-1a over every configured switch's final arrays, in sorted switch
+/// order and declaration order.
 pub(crate) fn digest_state(prog: &CheckedProgram, sim: &Interp, switches: &[u64]) -> u64 {
     let mut sorted = switches.to_vec();
     sorted.sort_unstable();
@@ -1776,6 +1713,14 @@ fn f64_of(j: &json::Json, path: &str) -> Result<f64, ScenarioError> {
     }
 }
 
+/// The structured refusal of a topology over [`MAX_SWITCHES`].
+fn too_many_switches(n: u64) -> ScenarioError {
+    ScenarioError::schema(
+        "$.net.switches",
+        format!("{n} switches exceeds the limit of {MAX_SWITCHES}"),
+    )
+}
+
 pub(crate) fn check_keys(
     fields: &[(String, json::Json)],
     allowed: &[&str],
@@ -1827,10 +1772,16 @@ pub mod json {
         }
     }
 
+    /// How deeply arrays and objects may nest. The parser recurses once
+    /// per level, so without a bound a line of `[`s overflows the stack;
+    /// no scenario or request needs more than a handful of levels.
+    pub const MAX_DEPTH: usize = 128;
+
     pub fn parse(src: &str) -> Result<Json, ScenarioError> {
         let mut p = Parser {
             bytes: src.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -1844,6 +1795,8 @@ pub mod json {
     struct Parser<'a> {
         bytes: &'a [u8],
         pos: usize,
+        /// Arrays and objects currently open.
+        depth: usize,
     }
 
     impl Parser<'_> {
@@ -1886,8 +1839,19 @@ pub mod json {
 
         fn value(&mut self) -> Result<Json, ScenarioError> {
             match self.peek() {
-                Some(b'{') => self.object(),
-                Some(b'[') => self.array(),
+                Some(open @ (b'{' | b'[')) => {
+                    if self.depth == MAX_DEPTH {
+                        return Err(self.err(format!("nested deeper than {MAX_DEPTH} levels")));
+                    }
+                    self.depth += 1;
+                    let v = if open == b'{' {
+                        self.object()
+                    } else {
+                        self.array()
+                    };
+                    self.depth -= 1;
+                    v
+                }
                 Some(b'"') => Ok(Json::Str(self.string()?)),
                 Some(b't') => self.literal("true", Json::Bool(true)),
                 Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -2094,26 +2058,74 @@ mod tests {
         let sc = Scenario::from_json(r#"{"name": "t"}"#).unwrap();
         assert_eq!(sc.switches, vec![1]);
         assert_eq!(sc.link_latency_ns, 1_000);
-        assert_eq!(sc.engine, Engine::Sequential);
         assert_eq!(sc.max_events, 1_000_000);
         assert_eq!(sc.max_time_ns, u64::MAX);
     }
 
     #[test]
     fn mesh_shorthand_and_engine_object() {
-        let sc = Scenario::from_json(
-            r#"{"net": {"switches": 4},
-                "engine": {"kind": "sharded", "workers": 2, "epoch_ns": 500}}"#,
-        )
-        .unwrap();
+        let sc = Scenario::from_json(r#"{"net": {"switches": 4}}"#).unwrap();
         assert_eq!(sc.switches, vec![1, 2, 3, 4]);
-        assert_eq!(
-            sc.engine,
-            Engine::Sharded {
-                workers: 2,
-                epoch_ns: 500
-            }
+        // There is one engine, so there is no `engine` key: every form
+        // of it is an unknown field.
+        for engine in [
+            r#"{"kind": "sharded", "workers": 2, "epoch_ns": 500}"#,
+            r#""sharded""#,
+            r#""sequential""#,
+        ] {
+            let doc = format!(r#"{{"net": {{"switches": 4}}, "engine": {engine}}}"#);
+            let err = Scenario::from_json(&doc).unwrap_err();
+            let ScenarioError::Schema { path, msg } = err else {
+                panic!("{engine}: {err:?}")
+            };
+            assert_eq!(path, "$");
+            assert!(msg.contains("unknown field `engine`"), "{msg}");
+        }
+    }
+
+    #[test]
+    fn oversized_mesh_is_refused_before_allocating() {
+        let max = MAX_SWITCHES;
+        let sc = Scenario::from_json(&format!(r#"{{"net": {{"switches": {max}}}}}"#)).unwrap();
+        assert_eq!(sc.switches.len() as u64, max);
+        for n in [max + 1, 9_007_199_254_740_992] {
+            let err =
+                Scenario::from_json(&format!(r#"{{"net": {{"switches": {n}}}}}"#)).unwrap_err();
+            let ScenarioError::Schema { path, msg } = err else {
+                panic!("{n}: {err:?}")
+            };
+            assert_eq!(path, "$.net.switches");
+            assert!(msg.contains("exceeds the limit"), "{msg}");
+        }
+        let ids: Vec<String> = (1..=max + 1).map(|i| i.to_string()).collect();
+        let doc = format!(r#"{{"net": {{"switches": [{}]}}}}"#, ids.join(","));
+        let err = Scenario::from_json(&doc).unwrap_err();
+        assert!(
+            matches!(&err, ScenarioError::Schema { path, .. } if path == "$.net.switches"),
+            "{err:?}"
         );
+    }
+
+    #[test]
+    fn deep_nesting_is_a_structured_json_error() {
+        // Within the limit parses; one level past it is a positioned
+        // syntax error, and a 200k-deep document never recurses that far.
+        let ok = format!(
+            "{}{}",
+            "[".repeat(json::MAX_DEPTH),
+            "]".repeat(json::MAX_DEPTH)
+        );
+        assert!(json::parse(&ok).is_ok());
+        for depth in [json::MAX_DEPTH + 1, 200_000] {
+            let doc = format!(r#"{{"events": {}}}"#, "[".repeat(depth));
+            let err = Scenario::from_json(&doc).unwrap_err();
+            let ScenarioError::Json { line, col, msg } = err else {
+                panic!("{depth}: {err:?}")
+            };
+            assert_eq!(line, 1);
+            assert_eq!(col, 11 + json::MAX_DEPTH);
+            assert!(msg.contains("nested deeper than"), "{msg}");
+        }
     }
 
     #[test]
@@ -2177,7 +2189,7 @@ mod tests {
                            "arrays": [{"switch": 1, "array": "cts", "index": 3, "value": 9}]}}"#,
         )
         .unwrap();
-        let report = run_scenario(&p, &sc, None, None).unwrap();
+        let report = run_scenario(&p, &sc, None).unwrap();
         assert!(!report.passed());
         assert_eq!(report.mismatches.len(), 2, "{:?}", report.mismatches);
         assert!(report.mismatches.contains(&Mismatch::Array {
@@ -2208,7 +2220,7 @@ mod tests {
                            "arrays": [{"switch": 1, "array": "cts", "values": [5,0,0,1,0,0,0,0]}]}}"#,
         )
         .unwrap();
-        let report = run_scenario(&p, &sc, None, None).unwrap();
+        let report = run_scenario(&p, &sc, None).unwrap();
         assert!(report.passed(), "{:?}", report.mismatches);
         assert!(report.to_json().contains("\"ok\":true"));
     }
@@ -2229,32 +2241,8 @@ mod tests {
                                       {"switch": 2, "array": "cts", "index": 2, "value": 1}]}}"#,
         )
         .unwrap();
-        let report = run_scenario(&p, &sc, None, None).unwrap();
+        let report = run_scenario(&p, &sc, None).unwrap();
         assert!(report.passed(), "{:?}", report.mismatches);
-    }
-
-    #[test]
-    fn engine_override_wins_and_matches() {
-        let p = prog();
-        let sc = Scenario::from_json(
-            r#"{"name": "x", "net": {"switches": 3},
-                "events": [{"time_ns": 0, "switch": 2, "event": "pkt", "args": [1]}]}"#,
-        )
-        .unwrap();
-        let seq = run_scenario(&p, &sc, None, None).unwrap();
-        let sh = run_scenario(
-            &p,
-            &sc,
-            Some(Engine::Sharded {
-                workers: 2,
-                epoch_ns: 0,
-            }),
-            None,
-        )
-        .unwrap();
-        assert_eq!(seq.engine, "sequential");
-        assert_eq!(sh.engine, "sharded");
-        assert_eq!(seq.stats, sh.stats);
     }
 
     #[test]
@@ -2267,11 +2255,11 @@ mod tests {
         )
         .unwrap();
         assert_eq!(sc.exec, ExecMode::Bytecode);
-        let bc = run_scenario(&p, &sc, None, None).unwrap();
+        let bc = run_scenario(&p, &sc, None).unwrap();
         assert_eq!(bc.exec, "bytecode");
         assert!(bc.passed(), "{:?}", bc.mismatches);
         assert!(bc.to_json().contains("\"exec\":\"bytecode\""));
-        let ast = run_scenario(&p, &sc, None, Some(ExecMode::Ast)).unwrap();
+        let ast = run_scenario(&p, &sc, Some(ExecMode::Ast)).unwrap();
         assert_eq!(ast.exec, "ast");
         assert_eq!(ast.state_digest, bc.state_digest);
         assert_eq!(ast.stats, bc.stats);
@@ -2295,8 +2283,8 @@ mod tests {
         )
         .unwrap();
         assert_eq!(sc.opt, OptLevel::O1);
-        assert_eq!(sc.net_config(None, None, None).opt, OptLevel::O1);
-        let report = run_scenario(&prog(), &sc, None, None).unwrap();
+        assert_eq!(sc.net_config(None, None).opt, OptLevel::O1);
+        let report = run_scenario(&prog(), &sc, None).unwrap();
         assert_eq!(report.opt, "1");
         assert!(
             report.to_json().contains("\"opt\":1"),
@@ -2447,7 +2435,7 @@ mod tests {
                 "expect": {"handled": 200, "per_event": {"pkt": 200}}}"#,
         )
         .unwrap();
-        let report = run_scenario(&p, &sc, None, None).unwrap();
+        let report = run_scenario(&p, &sc, None).unwrap();
         assert!(report.passed(), "{:?}", report.mismatches);
         assert_eq!(
             report.gens,
@@ -2516,7 +2504,7 @@ mod tests {
         .unwrap();
         assert_eq!(reseeded.stats.handled, 40);
         assert!(reseeded.passed());
-        let baseline = run_scenario(&p, &sc, None, None).unwrap();
+        let baseline = run_scenario(&p, &sc, None).unwrap();
         assert_ne!(
             baseline.state_digest, reseeded.state_digest,
             "a different seed must spread keys differently"
@@ -2636,7 +2624,7 @@ mod tests {
                 "events": [{"time_ns": 40, "switch": 1, "event": "pkt", "args": [99]}]}"#,
         )
         .unwrap();
-        let err = run_scenario(&p, &sc, None, None).unwrap_err();
+        let err = run_scenario(&p, &sc, None).unwrap_err();
         let SimRunError::Runtime(e) = err else {
             panic!("want runtime fault, got {err:?}")
         };

@@ -25,7 +25,6 @@
 //! running world.
 
 use crate::bytecode::{ExecMode, OptLevel};
-use crate::machine::Engine;
 use crate::scenario::{
     generators_of, get, injections_of, json, json_escape, obj, req, str_of, u64_of, Scenario,
     ScenarioError, SimOptions, SimRunError,
@@ -302,27 +301,10 @@ fn options_of(fields: &[(String, json::Json)]) -> Result<SimOptions, ServeError>
     let of = proto(obj(j, "$.options"))?;
     proto(crate::scenario::check_keys(
         of,
-        &[
-            "engine",
-            "exec",
-            "opt",
-            "workers",
-            "seed",
-            "events",
-            "record_trace",
-        ],
+        &["exec", "opt", "seed", "events", "record_trace"],
         "$.options",
     ))?;
     let mut opts = SimOptions::default();
-    if let Some(v) = get(of, "engine") {
-        let name = proto(str_of(v, "$.options.engine"))?;
-        opts.engine = Some(Engine::parse(name).ok_or_else(|| {
-            ServeError::new(
-                ErrorKind::Protocol,
-                format!("unknown engine `{name}` (expected `sequential` or `sharded`)"),
-            )
-        })?);
-    }
     if let Some(v) = get(of, "exec") {
         let name = proto(str_of(v, "$.options.exec"))?;
         opts.exec = Some(ExecMode::parse(name).ok_or_else(|| {
@@ -340,18 +322,6 @@ fn options_of(fields: &[(String, json::Json)]) -> Result<SimOptions, ServeError>
                 format!("unknown opt level {n} (expected 0, 1, or 2)"),
             )
         })?);
-    }
-    if let Some(v) = get(of, "workers") {
-        let w = proto(u64_of(v, "$.options.workers"))?;
-        if matches!(opts.engine, Some(Engine::Sequential)) {
-            // Mirror the CLI: `--workers` beside `--engine=sequential`
-            // is a contradiction, not a silent override.
-            return Err(ServeError::new(
-                ErrorKind::Protocol,
-                "`workers` only applies to the sharded engine",
-            ));
-        }
-        opts.workers = Some(w as usize);
     }
     if let Some(v) = get(of, "seed") {
         opts.seed = Some(proto(u64_of(v, "$.options.seed"))?);

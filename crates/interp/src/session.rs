@@ -7,12 +7,12 @@
 //! which makes the core invariant hold by construction: a served session
 //! that advances in any number of steps — with a `snapshot`/`restore`
 //! round-trip anywhere in between — produces state, stats, trace, and
-//! metrics digests bit-identical to the equivalent one-shot run, under
-//! both engines. The engines already pause exactly at a time horizon
-//! (events beyond it stay queued, keys are materialization-independent),
-//! so segmentation is free; sessions just expose it.
+//! metrics digests bit-identical to the equivalent one-shot run. The
+//! driver already pauses exactly at a time horizon (events beyond it stay
+//! queued, keys are materialization-independent), so segmentation is
+//! free; sessions just expose it.
 
-use crate::machine::{Interp, SwapStats};
+use crate::machine::{Engine, Interp, SwapStats};
 use crate::metrics::Metrics;
 use crate::scenario::{
     check_expectations, check_metric_expectations, digest_state, FailureAction, FailureKind,
@@ -128,7 +128,7 @@ pub struct SimSession {
 
 impl SimSession {
     /// Validate `sc` against `prog` and build the world: resolve the
-    /// engine/exec/opt/workers configuration, compile the generator
+    /// exec/opt configuration, compile the generator
     /// workload, apply `init` pokes, and schedule the authored events.
     /// Nothing runs until [`SimSession::advance`] or
     /// [`SimSession::drain`].
@@ -149,7 +149,7 @@ impl SimSession {
         let t0 = Instant::now();
         sc.validate(&prog)?;
         let cfg = opts.resolve(sc);
-        let engine = cfg.engine.label();
+        let engine = Engine::Sequential.label();
         let exec = cfg.exec.label();
         let opt = cfg.opt.label();
         let mut sim = Interp::from_arc(Arc::clone(&prog), cfg);
@@ -248,9 +248,9 @@ impl SimSession {
 
     /// Advance the world to `to_ns` (clamped to the scenario's
     /// `max_time_ns`): apply every fault action due by then, run the
-    /// engines up to the horizon, and pause with everything later still
+    /// world up to the horizon, and pause with everything later still
     /// queued. Advancing in any number of steps is bit-identical to one
-    /// step — both engines pause exactly at a time horizon, and the
+    /// step — the driver pauses exactly at a time horizon, and the
     /// fault schedule already segments one-shot runs the same way.
     pub fn advance(&mut self, to_ns: u64) -> Result<(), SimRunError> {
         let t0 = Instant::now();

@@ -1,5 +1,5 @@
 //! Streaming workload generators: parameterized synthetic traffic for the
-//! simulator, pulled lazily by both engines so a ten-million-event run
+//! simulator, pulled lazily by the driver so a ten-million-event run
 //! never materializes an event vector.
 //!
 //! A scenario's `"generators"` section compiles (against a checked
@@ -20,9 +20,9 @@
 //! Determinism is the load-bearing property: a generator's stream is a
 //! pure function of its effective seed (scenario seed mixed with the
 //! generator's own), so the same scenario produces bit-identical runs
-//! under every engine × executor combination. Event times within one
+//! under every executor × opt-level combination. Event times within one
 //! source are nondecreasing, and [`Workload`] merges sources in global
-//! (time, source-index) order — both drivers pull the identical sequence.
+//! (time, source-index) order.
 
 use crate::machine::{Interp, InterpError, InterpFault};
 use crate::snap;
@@ -44,26 +44,16 @@ pub struct SourcedEvent {
     pub source: usize,
 }
 
-/// A pull-based injection stream. Both engines drain one lazily: the
-/// sequential driver pulls everything due at or before its queue head,
-/// the sharded driver pulls everything due inside the coming round.
-/// `peek_ns` must be nondecreasing across pulls.
+/// A pull-based injection stream. The driver drains one lazily, pulling
+/// everything due at or before its queue head. `peek_ns` must be
+/// nondecreasing across pulls.
 pub trait EventSource {
     /// Virtual time of the next event, `None` when exhausted.
     fn peek_ns(&self) -> Option<u64>;
-    /// Time *and source slot* of the next event — enough to form its
-    /// schedule key without pulling it, which lets a single-worker
-    /// sharded run merge the stream head into its dispatch scan instead
-    /// of materializing a window ahead. Must describe the same event
-    /// `next_event` would return. The default is correct for any
-    /// single-source stream.
-    fn peek_key(&self) -> Option<(u64, usize)> {
-        self.peek_ns().map(|t| (t, 0))
-    }
     /// Pull the next event. `None` exactly when `peek_ns` is `None`.
     fn next_event(&mut self) -> Option<SourcedEvent>;
     /// Pull every event due at or before `horizon_ns` — up to `max` of
-    /// them — appending to `out` in stream order. Both engines refill
+    /// them — appending to `out` in stream order. The driver refills
     /// through this in chunks, so a boxed source pays its virtual
     /// dispatch once per batch rather than twice per injection. The
     /// default loops `peek_ns`/`next_event`; implementations with a
@@ -82,27 +72,6 @@ pub trait EventSource {
     /// How many sources feed this stream (sizes the per-source counters).
     fn source_count(&self) -> usize {
         1
-    }
-    /// Detach every constituent source whose entire remaining stream is
-    /// bound to a single switch accepted by `owned`, so the sharded
-    /// engine can hand each one to the worker that owns its destination
-    /// shard (no cross-worker traffic to materialize an injection).
-    /// Detached slots keep their indices — per-source keys and report
-    /// rows are position-based — and must come back via
-    /// [`EventSource::reattach_local`] before the next sequential pull.
-    ///
-    /// The default detaches nothing: the source stays shared and is
-    /// pulled by one worker on behalf of all (always correct, since
-    /// per-source keys are independent of pull interleaving).
-    fn detach_local(&mut self, owned: &dyn Fn(u64) -> bool) -> Vec<LocalGen> {
-        let _ = owned;
-        Vec::new()
-    }
-    /// Restore generators detached by [`EventSource::detach_local`] into
-    /// their original slots (stream positions advance by however far the
-    /// workers pulled them).
-    fn reattach_local(&mut self, parts: Vec<LocalGen>) {
-        debug_assert!(parts.is_empty(), "default detach_local detaches nothing");
     }
     /// Serialize the source's full cursor state (specs, RNG positions,
     /// remaining budget) into `out` so a restored world resumes the
@@ -134,17 +103,6 @@ pub trait EventSource {
         let _ = gen;
         false
     }
-}
-
-/// One single-switch source detached from a shared stream for
-/// worker-local pulling ([`EventSource::detach_local`]).
-#[derive(Debug, Clone)]
-pub struct LocalGen {
-    /// The one switch every remaining event of this source targets.
-    pub switch: u64,
-    /// The slot it came from: its [`SourcedEvent::source`] index.
-    pub slot: usize,
-    pub gen: Generator,
 }
 
 // ------------------------------------------------------------------- rng
@@ -643,10 +601,7 @@ impl EventSource for Generator {
 /// capped at a total event budget (`lucidc sim --events N`).
 #[derive(Debug, Clone)]
 pub struct Workload {
-    /// Slotted so [`EventSource::detach_local`] can lend generators out
-    /// without shifting the indices the merge order and per-source keys
-    /// are built on.
-    gens: Vec<Option<Generator>>,
+    gens: Vec<Generator>,
     /// Remaining total-event budget (`None`: uncapped).
     remaining: Option<u64>,
     /// Memoized `(time, index)` of the next source, invalidated on pull.
@@ -659,7 +614,7 @@ pub struct Workload {
 impl Workload {
     pub fn new(gens: Vec<Generator>, total_cap: Option<u64>) -> Workload {
         Workload {
-            gens: gens.into_iter().map(Some).collect(),
+            gens,
             remaining: total_cap,
             head: std::cell::Cell::new(None),
         }
@@ -667,13 +622,7 @@ impl Workload {
 
     /// Generator names, in index order (for per-source report rows).
     pub fn names(&self) -> Vec<String> {
-        self.gens
-            .iter()
-            .map(|g| {
-                g.as_ref()
-                    .map_or_else(String::new, |g| g.name().to_string())
-            })
-            .collect()
+        self.gens.iter().map(|g| g.name().to_string()).collect()
     }
 
     fn head(&self) -> Option<(u64, usize)> {
@@ -685,9 +634,9 @@ impl Workload {
         }
         let mut best: Option<(u64, usize)> = None;
         for (i, g) in self.gens.iter().enumerate() {
-            if let Some(t) = g.as_ref().and_then(Generator::peek_ns) {
+            if let Some(t) = g.peek_ns() {
                 // Strict `<` keeps the lowest index on ties — the merge
-                // order both engines must agree on.
+                // order the per-source keys encode.
                 if best.is_none_or(|(bt, _)| t < bt) {
                     best = Some((t, i));
                 }
@@ -703,17 +652,10 @@ impl EventSource for Workload {
         self.head().map(|(t, _)| t)
     }
 
-    fn peek_key(&self) -> Option<(u64, usize)> {
-        self.head()
-    }
-
     fn next_event(&mut self) -> Option<SourcedEvent> {
         let (_, i) = self.head()?;
         self.head.set(None);
-        let ev = self.gens[i]
-            .as_mut()
-            .expect("head slot occupied")
-            .next_event();
+        let ev = self.gens[i].next_event();
         if ev.is_some() {
             if let Some(r) = &mut self.remaining {
                 *r -= 1;
@@ -726,57 +668,14 @@ impl EventSource for Workload {
         self.gens.len()
     }
 
-    fn detach_local(&mut self, owned: &dyn Fn(u64) -> bool) -> Vec<LocalGen> {
-        // A total cap (`--events N`) is consumed in global merge order:
-        // which events exist depends on every sibling's stream, so the
-        // slots must stay coupled and pulled by one worker.
-        if self.remaining.is_some() {
-            return Vec::new();
-        }
-        let mut out = Vec::new();
-        for (slot, g) in self.gens.iter_mut().enumerate() {
-            let single = g.as_ref().and_then(|g| match g.spec.switches.as_slice() {
-                // Multi-switch sources draw their destination from
-                // the stream RNG per event — splitting one would
-                // change the stream. They stay shared.
-                [s] if owned(*s) => Some(*s),
-                _ => None,
-            });
-            if let Some(switch) = single {
-                out.push(LocalGen {
-                    switch,
-                    slot,
-                    gen: g.take().expect("checked above"),
-                });
-            }
-        }
-        self.head.set(None);
-        out
-    }
-
-    fn reattach_local(&mut self, parts: Vec<LocalGen>) {
-        for p in parts {
-            debug_assert!(self.gens[p.slot].is_none(), "slot {} occupied", p.slot);
-            self.gens[p.slot] = Some(p.gen);
-        }
-        self.head.set(None);
-    }
-
     fn save_state(&self, out: &mut Vec<u8>) -> bool {
         let mut w = snap::Writer::new();
         w.u64(self.gens.len() as u64);
         for g in &self.gens {
-            match g {
-                Some(g) => {
-                    w.bool(true);
-                    g.encode(&mut w);
-                }
-                // A detached slot can only be observed mid-sharded-run;
-                // snapshots are taken between runs, when every lent
-                // generator is back. Encode the hole anyway so the
-                // format has no unrepresentable state.
-                None => w.bool(false),
-            }
+            // Each slot carries a presence flag, always set: every
+            // slot holds a generator.
+            w.bool(true);
+            g.encode(&mut w);
         }
         w.opt_u64(self.remaining);
         out.extend_from_slice(&w.buf);
@@ -789,11 +688,10 @@ impl EventSource for Workload {
             let n = r.len(1, "workload slots")?;
             let mut gens = Vec::with_capacity(n);
             for index in 0..n {
-                gens.push(if r.bool()? {
-                    Some(Generator::decode(&mut r, prog, index)?)
-                } else {
-                    None
-                });
+                if !r.bool()? {
+                    return Err(r.err(format!("workload slot {index} holds no generator")));
+                }
+                gens.push(Generator::decode(&mut r, prog, index)?);
             }
             let remaining = r.opt_u64()?;
             r.expect_end()?;
@@ -809,7 +707,7 @@ impl EventSource for Workload {
 
     fn remap_events(&mut self, prog: &CheckedProgram) -> usize {
         let mut disabled = 0;
-        for g in self.gens.iter_mut().flatten() {
+        for g in &mut self.gens {
             match prog.info.event(&g.spec.event) {
                 Some(ev) if ev.params.len() == g.widths.len() => {
                     g.event_id = ev.id;
@@ -833,7 +731,7 @@ impl EventSource for Workload {
 
     fn attach_generator(&mut self, mut gen: Generator) -> bool {
         gen.index = self.gens.len();
-        self.gens.push(Some(gen));
+        self.gens.push(gen);
         self.head.set(None);
         true
     }
@@ -841,7 +739,7 @@ impl EventSource for Workload {
 
 /// Drive a standalone source through an [`Interp`] until it drains (a
 /// library convenience for custom sources; `run_scenario` wires bundled
-/// generators through the engines itself).
+/// generators through the driver itself).
 pub fn drain_into(
     sim: &mut Interp,
     source: impl EventSource + Send + 'static,

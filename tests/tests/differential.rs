@@ -1,18 +1,18 @@
 //! Differential property testing of the interpreter's executors:
 //! random event schedules, initial array states, and topologies for the
-//! bundled Figure-9 applications, asserting AST-walker == unoptimized
-//! bytecode == optimized bytecode == sharded-bytecode on everything
-//! observable — final array state, statistics, trace, and printf output
-//! — and on runtime faults. Sweeping the bytecode executor at both
-//! `--opt=0` and `--opt=2` means an optimizer miscompile cannot hide
-//! behind an equally-wrong lowering (and vice versa).
+//! bundled Figure-9 applications, asserting AST-walker == bytecode at
+//! every opt level on everything observable — final array state,
+//! statistics, trace, printf output, and metrics — and on runtime
+//! faults. Sweeping the bytecode executor from `--opt=0` to `--opt=2`
+//! means an optimizer miscompile cannot hide behind an equally-wrong
+//! lowering (and vice versa).
 //!
 //! The case count defaults low so `cargo test` stays quick; CI's
 //! fuzz-smoke step raises it with `LUCID_FUZZ_CASES=64`. The vendored
 //! proptest shim always starts from one fixed seed, so failures
 //! reproduce run-to-run.
 
-use lucid_core::{CheckedProgram, Engine, ExecMode, Interp, InterpError, NetConfig, OptLevel};
+use lucid_core::{CheckedProgram, ExecMode, Interp, InterpError, NetConfig, OptLevel};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -35,17 +35,14 @@ fn apps() -> &'static Vec<(&'static str, CheckedProgram)> {
     })
 }
 
-/// Worker counts every sharded comparison sweeps: the lone-worker
-/// fast path, even and odd pools, a prime that misaligns the
-/// round-robin shard partition, and a pool wider than most topologies.
-const WORKER_SWEEP: [usize; 6] = [1, 2, 3, 4, 7, 8];
+/// Every bytecode optimization level, raw lowering first.
+const LEVELS: [OptLevel; 3] = [OptLevel::O0, OptLevel::O1, OptLevel::O2];
 
 /// One generated workload: a topology, initial pokes, and injections.
 #[derive(Debug, Clone)]
 struct Workload {
     app: usize,
     switches: u64,
-    workers: usize,
     /// `(switch_sel, array_sel, index_sel, value)` — resolved modulo the
     /// app's actual arrays.
     pokes: Vec<(u64, u64, u64, u64)>,
@@ -57,8 +54,8 @@ struct Workload {
 
 /// Everything observable about one finished (or faulted) run. The final
 /// `u64` is the metrics digest — per-event-class latency/residency
-/// histograms folded to one value — so a single mis-bucketed sample in
-/// the sharded collector shows up as a differential failure.
+/// histograms folded to one value — so a single mis-bucketed sample
+/// shows up as a differential failure.
 type Outcome = Result<
     (
         Vec<Vec<Vec<u64>>>,
@@ -70,7 +67,7 @@ type Outcome = Result<
     InterpError,
 >;
 
-fn run(w: &Workload, engine: Engine, exec: ExecMode, opt: OptLevel) -> Outcome {
+fn run(w: &Workload, exec: ExecMode, opt: OptLevel) -> Outcome {
     let (key, prog) = &apps()[w.app];
     // Verify before executing: a miscompile must fail here with a V-code
     // naming the guilty pass, not downstream as a state divergence the
@@ -81,7 +78,6 @@ fn run(w: &Workload, engine: Engine, exec: ExecMode, opt: OptLevel) -> Outcome {
         }
     }
     let mut cfg = NetConfig::mesh(w.switches);
-    cfg.engine = engine;
     cfg.exec = exec;
     cfg.opt = opt;
     let mut sim = Interp::new(prog, cfg);
@@ -126,16 +122,11 @@ proptest! {
 
     /// The headline property: for every Figure-9 app and any workload,
     /// the bytecode executor is observably identical to the AST walker
-    /// under the sequential engine, and the sharded engine reproduces
-    /// both on successful runs.
+    /// at every opt level.
     #[test]
-    fn figure9_apps_ast_bytecode_sharded_agree(
+    fn figure9_apps_ast_and_bytecode_agree(
         app in 0u64..10_000,
         switches in 1u64..=4,
-        // Index into WORKER_SWEEP: exercises the barrier-free lone-worker
-        // path, small pools, and pools larger than the switch count
-        // (clamped to one shard per worker internally).
-        wsel in 0usize..WORKER_SWEEP.len(),
         pokes in proptest::collection::vec((any::<u64>(), any::<u64>(), any::<u64>(), 0u64..=1_000), 0..4),
         events in proptest::collection::vec(
             (any::<u64>(), 0u64..=50_000, any::<u64>(), (0u64..=300, 0u64..=300, 0u64..=300, 0u64..=300)),
@@ -145,37 +136,26 @@ proptest! {
         let w = Workload {
             app: (app as usize) % apps().len(),
             switches,
-            workers: WORKER_SWEEP[wsel],
             pokes,
             events: events
                 .into_iter()
                 .map(|(sw, t, ev, (a, b, c, d))| (sw, t, ev, [a, b, c, d]))
                 .collect(),
         };
-        let reference = run(&w, Engine::Sequential, ExecMode::Ast, OptLevel::O2);
-        // Sequential runs must agree on *everything*, faults included:
-        // same fault kind, same offending event key, same state left
-        // behind by the writes that preceded the fault — at the raw
-        // lowering AND under the full optimizer pipeline.
-        for opt in [OptLevel::O0, OptLevel::O2] {
-            let bytecode = run(&w, Engine::Sequential, ExecMode::Bytecode, opt);
+        let reference = run(&w, ExecMode::Ast, OptLevel::O2);
+        // Runs must agree on *everything*, faults included: same fault
+        // kind, same offending event key, same state left behind by the
+        // writes that preceded the fault — at the raw lowering AND under
+        // the full optimizer pipeline.
+        for opt in LEVELS {
+            let bytecode = run(&w, ExecMode::Bytecode, opt);
             prop_assert_eq!(&reference, &bytecode);
-        }
-
-        if reference.is_ok() {
-            let sharded = run(
-                &w,
-                Engine::Sharded { workers: w.workers, epoch_ns: 0 },
-                ExecMode::Bytecode,
-                OptLevel::O2,
-            );
-            prop_assert_eq!(&reference, &sharded);
         }
     }
 }
 
 /// A deterministic (non-random) sweep: one representative schedule per
-/// app through the full engine x exec x opt matrix. This keeps every
+/// app through the full exec x opt matrix. This keeps every
 /// app on the differential path even when the property above samples
 /// few cases.
 #[test]
@@ -187,43 +167,18 @@ fn every_app_runs_identically_across_the_matrix() {
         let w = Workload {
             app: i,
             switches: 3,
-            workers: 2,
             pokes: vec![(0, 0, 0, 5)],
             events,
         };
-        let reference = run(&w, Engine::Sequential, ExecMode::Ast, OptLevel::O2);
-        let mut engines = vec![(Engine::Sequential, "sequential".to_string())];
-        for workers in WORKER_SWEEP {
-            engines.push((
-                Engine::Sharded {
-                    workers,
-                    epoch_ns: 0,
-                },
-                format!("sharded-w{workers}"),
-            ));
-        }
-        for (engine, elabel) in engines {
-            let combos = [
-                (ExecMode::Ast, OptLevel::O2),
-                (ExecMode::Bytecode, OptLevel::O0),
-                (ExecMode::Bytecode, OptLevel::O1),
-                (ExecMode::Bytecode, OptLevel::O2),
-            ];
-            for (exec, opt) in combos {
-                if reference.is_err() && engine != Engine::Sequential {
-                    // Error runs differ in sharded bookkeeping only; the
-                    // sequential comparison above still pins them.
-                    continue;
-                }
-                let got = run(&w, engine, exec, opt);
-                assert_eq!(
-                    reference,
-                    got,
-                    "{key}: {elabel}/{}/O{} diverges from the reference",
-                    exec.label(),
-                    opt.label()
-                );
-            }
+        let reference = run(&w, ExecMode::Ast, OptLevel::O2);
+        for opt in LEVELS {
+            let got = run(&w, ExecMode::Bytecode, opt);
+            assert_eq!(
+                reference,
+                got,
+                "{key}: bytecode/O{} diverges from the AST walker",
+                opt.label()
+            );
         }
         // Ensure the workload actually did something — and that the
         // metrics collector actually saw it (a digest of empty

@@ -1,9 +1,12 @@
 //! Integration tests of the scenario-driven simulation subsystem: the
 //! loader's structured diagnostics, the checked-in `*.sim.json` suite
-//! (the same files CI's sim gate runs), and sequential/sharded engine
+//! (the same files CI's sim gate runs), and executor x opt-level
 //! determinism on an 8-switch mesh.
 
-use lucid_core::{run_scenario, Compiler, Engine, ExecMode, Scenario, ScenarioError};
+use lucid_core::{
+    run_scenario, run_scenario_with, Compiler, ExecMode, OptLevel, Scenario, ScenarioError,
+    SimOptions,
+};
 use std::path::PathBuf;
 
 fn repo_root() -> PathBuf {
@@ -93,7 +96,7 @@ fn expectation_mismatches_are_structured_and_rendered() {
                        "arrays": [{"switch": 1, "array": "a", "values": [0, 0, 2, 0]}]}}"#,
     )
     .unwrap();
-    let report = run_scenario(&prog, &sc, None, None).unwrap();
+    let report = run_scenario(&prog, &sc, None).unwrap();
     assert!(!report.passed());
     // One count mismatch + one cell mismatch, each structured.
     assert_eq!(report.mismatches.len(), 2, "{:?}", report.mismatches);
@@ -180,7 +183,7 @@ fn metric_expectation_failures_are_structured() {
             ]}}"#,
     )
     .unwrap();
-    let report = run_scenario(&prog, &sc, None, None).unwrap();
+    let report = run_scenario(&prog, &sc, None).unwrap();
     assert!(!report.passed());
     assert_eq!(report.mismatches.len(), 2, "{:?}", report.mismatches);
     let rendered = report.render();
@@ -205,7 +208,7 @@ fn metric_expectations_skip_when_workload_overridden() {
             "metrics": {"expect": [{"event": "pkt", "metric": "count", "op": "==", "value": 10}]}}"#,
     )
     .unwrap();
-    let base = run_scenario(&prog, &sc, None, None).unwrap();
+    let base = run_scenario(&prog, &sc, None).unwrap();
     assert!(base.passed(), "{:?}", base.mismatches);
 
     let overrides = lucid_core::SimOptions {
@@ -259,9 +262,9 @@ fn bundled_scenarios_all_pass() {
     );
 }
 
-/// Every bundled scenario must be engine-independent: identical final
-/// state digest and statistics under the sequential reference and the
-/// sharded worker-pool engine.
+/// Every bundled scenario must be independent of the handler engine:
+/// identical final state digest, statistics, and metrics under the AST
+/// walker and the bytecode executor at every opt level.
 #[test]
 fn bundled_scenarios_are_engine_deterministic() {
     let dir = repo_root().join("crates/apps/scenarios");
@@ -280,37 +283,33 @@ fn bundled_scenarios_are_engine_deterministic() {
                 .unwrap();
         let prog = checked(&src);
         let sc = Scenario::from_json(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        let seq = run_scenario(&prog, &sc, Some(Engine::Sequential), None).unwrap();
-        // Full engine x exec matrix against the sequential AST reference.
-        for engine in [
-            Engine::Sequential,
-            Engine::Sharded {
-                workers: 3,
-                epoch_ns: 0,
-            },
-        ] {
-            for exec in [ExecMode::Ast, ExecMode::Bytecode] {
-                let got = run_scenario(&prog, &sc, Some(engine), Some(exec)).unwrap();
-                let combo = format!("{app} [{}/{}]", engine.label(), exec.label());
-                assert_eq!(seq.state_digest, got.state_digest, "{combo}: state differs");
-                assert_eq!(seq.stats, got.stats, "{combo}: statistics differ");
-                assert_eq!(
-                    seq.metrics.digest(),
-                    got.metrics.digest(),
-                    "{combo}: latency metrics differ"
-                );
-            }
+        let ast = run_scenario(&prog, &sc, Some(ExecMode::Ast)).unwrap();
+        // Full exec x opt matrix against the AST reference.
+        for opt in [OptLevel::O0, OptLevel::O1, OptLevel::O2] {
+            let got = run_scenario_with(
+                &prog,
+                &sc,
+                &SimOptions::new().exec(ExecMode::Bytecode).opt(opt),
+            )
+            .unwrap();
+            let combo = format!("{app} [bytecode/o{}]", opt.label());
+            assert_eq!(ast.state_digest, got.state_digest, "{combo}: state differs");
+            assert_eq!(ast.stats, got.stats, "{combo}: statistics differ");
+            assert_eq!(
+                ast.metrics.digest(),
+                got.metrics.digest(),
+                "{combo}: latency metrics differ"
+            );
         }
     }
 }
 
 // -------------------------------------------------- 8-switch determinism
 
-/// The satellite determinism gate: a cross-traffic-heavy 8-switch mesh
-/// where the sharded engine must reproduce the sequential engine's final
-/// array state exactly.
+/// A cross-traffic-heavy 8-switch mesh where the bytecode executor must
+/// reproduce the AST walker's final array state exactly.
 #[test]
-fn sharded_equals_sequential_on_eight_switch_mesh() {
+fn ast_equals_bytecode_on_eight_switch_mesh() {
     let prog = checked(
         r#"
         global load = new Array<<32>>(256);
@@ -344,34 +343,18 @@ fn sharded_equals_sequential_on_eight_switch_mesh() {
     ))
     .unwrap();
 
-    let seq = run_scenario(&prog, &sc, Some(Engine::Sequential), None).unwrap();
-    for workers in [2, 4, 8] {
-        for exec in [ExecMode::Ast, ExecMode::Bytecode] {
-            let sh = run_scenario(
-                &prog,
-                &sc,
-                Some(Engine::Sharded {
-                    workers,
-                    epoch_ns: 0,
-                }),
-                Some(exec),
-            )
-            .unwrap();
-            assert_eq!(
-                seq.state_digest,
-                sh.state_digest,
-                "{workers} workers ({}): final array state differs from sequential",
-                exec.label()
-            );
-            assert_eq!(seq.stats, sh.stats, "{workers} workers: stats differ");
-            assert_eq!(
-                seq.metrics.digest(),
-                sh.metrics.digest(),
-                "{workers} workers ({}): metric histograms differ from sequential",
-                exec.label()
-            );
-        }
-    }
+    let seq = run_scenario(&prog, &sc, Some(ExecMode::Ast)).unwrap();
+    let bc = run_scenario(&prog, &sc, Some(ExecMode::Bytecode)).unwrap();
+    assert_eq!(
+        seq.state_digest, bc.state_digest,
+        "final array state differs"
+    );
+    assert_eq!(seq.stats, bc.stats, "stats differ");
+    assert_eq!(
+        seq.metrics.digest(),
+        bc.metrics.digest(),
+        "metric histograms differ"
+    );
     // The workload really is distributed and cross-switch.
     assert!(seq.stats.sent_remote > 200, "{:?}", seq.stats);
     assert_eq!(seq.stats.processed, 8 * 12 * 7);

@@ -3,10 +3,10 @@
 //! JSON, unknown sessions, rejected swaps, corrupted snapshots — never a
 //! panic), and the headline invariant: a served session is bit-identical
 //! to the one-shot `sim` run it decomposes, through snapshots, restores,
-//! and segmented advances, under both engines.
+//! and segmented advances, under both handler engines.
 
 use lucid_core::{
-    handle_line, run_scenario_with, BuildHost, CheckHost, Compiler, Engine, Scenario, ServeState,
+    handle_line, run_scenario_with, BuildHost, CheckHost, Compiler, ExecMode, Scenario, ServeState,
     SimOptions, SimSession,
 };
 
@@ -62,31 +62,69 @@ fn open_replies_with_the_session_header() {
 }
 
 #[test]
-fn open_accepts_engine_and_exec_options() {
+fn open_accepts_exec_and_rejects_engine_options() {
     let (mut state, mut host) = (ServeState::new(), CheckHost);
     let line = format!(
         "{{\"op\":\"open\",\"program\":{},\"scenario\":{},\
-         \"options\":{{\"engine\":\"sharded\",\"exec\":\"ast\",\"workers\":2}}}}",
+         \"options\":{{\"exec\":\"bytecode\",\"opt\":1}}}}",
         q(COUNTER),
         q(SCENARIO)
     );
     let reply = ask(&mut state, &mut host, &line);
-    assert!(reply.contains("\"engine\":\"sharded\""), "{reply}");
-    assert!(reply.contains("\"exec\":\"ast\""), "{reply}");
+    assert_eq!(
+        reply,
+        "{\"ok\":true,\"session\":1,\"scenario\":\"served\",\"switches\":2,\
+         \"engine\":\"sequential\",\"exec\":\"bytecode\",\"opt\":1}"
+    );
 
-    // Workers beside the sequential engine is rejected like the CLI.
+    // There is one engine: selecting or tuning it is an unknown option.
+    for (key, value) in [
+        ("workers", "2"),
+        ("engine", "\"sharded\""),
+        ("engine", "\"sequential\""),
+    ] {
+        let line = format!(
+            "{{\"op\":\"open\",\"program\":{},\"scenario\":{},\"options\":{{\"{key}\":{value}}}}}",
+            q(COUNTER),
+            q(SCENARIO)
+        );
+        let reply = ask(&mut state, &mut host, &line);
+        assert_eq!(
+            reply,
+            format!(
+                "{{\"ok\":false,\"error\":{{\"kind\":\"protocol\",\"msg\":\"scenario schema \
+                 error at `$.options`: unknown field `{key}` (expected one of: exec, opt, seed, \
+                 events, record_trace)\"}}}}"
+            )
+        );
+    }
+    // So is an `engine` key inside the scenario document.
+    let sc = SCENARIO.replacen('{', r#"{"engine": {"kind": "sharded"},"#, 1);
     let line = format!(
-        "{{\"op\":\"open\",\"program\":{},\"scenario\":{},\
-         \"options\":{{\"engine\":\"sequential\",\"workers\":2}}}}",
+        "{{\"op\":\"open\",\"program\":{},\"scenario\":{}}}",
         q(COUNTER),
-        q(SCENARIO)
+        q(&sc)
     );
     let reply = ask(&mut state, &mut host, &line);
-    assert!(reply.contains("\"ok\":false"), "{reply}");
-    assert!(
-        reply.contains("only applies to the sharded engine"),
-        "{reply}"
+    assert!(reply.contains("\"kind\":\"scenario\""), "{reply}");
+    assert!(reply.contains("unknown field `engine`"), "{reply}");
+    assert_eq!(state.len(), 1, "failed opens leave no session behind");
+}
+
+#[test]
+fn deeply_nested_request_is_a_protocol_error() {
+    // The parser stops at its nesting limit instead of recursing once
+    // per `[` until the stack overflows.
+    let (mut state, mut host) = (ServeState::new(), CheckHost);
+    let reply = ask(&mut state, &mut host, &"[".repeat(200_000));
+    assert_eq!(
+        reply,
+        "{\"ok\":false,\"error\":{\"kind\":\"protocol\",\"msg\":\"scenario is not valid \
+         JSON (line 1, col 129): nested deeper than 128 levels\"}}"
     );
+    // The daemon is still serving.
+    let reply = ask(&mut state, &mut host, &open_line());
+    assert!(reply.starts_with("{\"ok\":true,\"session\":1,"), "{reply}");
 }
 
 #[test]
@@ -447,14 +485,8 @@ fn fingerprint(report: &lucid_core::SimReport) -> (u64, u64, String, String) {
 fn served_sessions_are_bit_identical_to_one_shot_runs() {
     let prog = lucid_core::check::parse_and_check(COUNTER).expect("program checks");
     let sc = Scenario::from_json(SCENARIO).expect("scenario parses");
-    for engine in [
-        Engine::Sequential,
-        Engine::Sharded {
-            workers: 2,
-            epoch_ns: 0,
-        },
-    ] {
-        let opts = SimOptions::new().engine(engine);
+    for exec in [ExecMode::Ast, ExecMode::Bytecode] {
+        let opts = SimOptions::new().exec(exec);
         let oneshot = run_scenario_with(&prog, &sc, &opts).expect("one-shot runs");
 
         // Segmented advance: odd step sizes, a snapshot/restore detour in
@@ -467,7 +499,7 @@ fn served_sessions_are_bit_identical_to_one_shot_runs() {
         session.advance(130).expect("re-advance");
         let served = session.drain().expect("drain");
 
-        assert_eq!(fingerprint(&served), fingerprint(&oneshot), "{engine:?}");
+        assert_eq!(fingerprint(&served), fingerprint(&oneshot), "{exec:?}");
 
         // A restored world replays into the *same* trace, not just the
         // same digest.
@@ -481,7 +513,7 @@ fn served_sessions_are_bit_identical_to_one_shot_runs() {
         assert_eq!(
             format!("{:?}", a.world().trace),
             format!("{:?}", b.world().trace),
-            "{engine:?}"
+            "{exec:?}"
         );
     }
 }

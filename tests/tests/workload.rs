@@ -1,16 +1,16 @@
 //! Integration tests of the streaming workload-generator subsystem:
-//! seed-determinism of generator scenarios across the full engine x
-//! executor matrix, lazy scaling through the `--events` override, and a
+//! seed-determinism of generator scenarios across the full executor x
+//! opt-level matrix, lazy scaling through the `--events` override, and a
 //! property sweep over randomly drawn generator specs.
 
 use lucid_core::{
-    run_scenario, run_scenario_with, ArgDist, Engine, ExecMode, GenSpec, Phase, Scenario,
+    run_scenario, run_scenario_with, ArgDist, ExecMode, GenSpec, OptLevel, Phase, Scenario,
     SimOptions, SimReport,
 };
 use proptest::prelude::*;
 
-/// A mesh program with cross-switch forwarding, so the sharded engine's
-/// epoch barriers are actually exercised by generated traffic.
+/// A mesh program with cross-switch forwarding, so generated traffic
+/// interleaves remote arrivals with fresh injections.
 const MESH: &str = r#"
     global cnt = new Array<<32>>(256);
     global mix = new Array<<32>>(256);
@@ -67,8 +67,7 @@ fn fingerprint(r: &SimReport) -> (u64, lucid_core::interp::Stats, Vec<(String, u
 fn generator_matrix_is_bit_identical_and_seed_sensitive() {
     let prog = checked(MESH);
     let sc = Scenario::from_json(GEN_SCENARIO).unwrap();
-    let reference =
-        run_scenario(&prog, &sc, Some(Engine::Sequential), Some(ExecMode::Ast)).unwrap();
+    let reference = run_scenario(&prog, &sc, Some(ExecMode::Ast)).unwrap();
     assert_eq!(
         reference.gens,
         vec![
@@ -82,30 +81,22 @@ fn generator_matrix_is_bit_identical_and_seed_sensitive() {
         "workload must cross switches: {:?}",
         reference.stats
     );
-    for engine in [
-        Engine::Sequential,
-        Engine::Sharded {
-            workers: 2,
-            epoch_ns: 0,
-        },
-        Engine::Sharded {
-            workers: 4,
-            epoch_ns: 250,
-        },
-    ] {
-        for exec in [ExecMode::Ast, ExecMode::Bytecode] {
-            let got = run_scenario(&prog, &sc, Some(engine), Some(exec)).unwrap();
-            assert_eq!(
-                fingerprint(&reference),
-                fingerprint(&got),
-                "[{}/{}] diverged from sequential/ast",
-                engine.label(),
-                exec.label()
-            );
-        }
+    for opt in [OptLevel::O0, OptLevel::O1, OptLevel::O2] {
+        let got = run_scenario_with(
+            &prog,
+            &sc,
+            &SimOptions::new().exec(ExecMode::Bytecode).opt(opt),
+        )
+        .unwrap();
+        assert_eq!(
+            fingerprint(&reference),
+            fingerprint(&got),
+            "[bytecode/o{}] diverged from ast",
+            opt.label()
+        );
     }
     // Same seed, same run — different seed, different traffic.
-    let again = run_scenario(&prog, &sc, Some(Engine::Sequential), Some(ExecMode::Ast)).unwrap();
+    let again = run_scenario(&prog, &sc, Some(ExecMode::Ast)).unwrap();
     assert_eq!(fingerprint(&reference), fingerprint(&again));
     let reseeded = run_scenario_with(
         &prog,
@@ -133,29 +124,26 @@ fn events_override_scales_lazily_and_engines_still_agree() {
         events: Some(60_000),
         ..SimOptions::default()
     };
-    let seq = run_scenario_with(&prog, &sc, &ov).unwrap();
-    let injected: u64 = seq.gens.iter().map(|(_, n)| n).sum();
+    let ast = run_scenario_with(&prog, &sc, &ov).unwrap();
+    let injected: u64 = ast.gens.iter().map(|(_, n)| n).sum();
     assert_eq!(injected, 60_000);
-    assert_eq!(seq.gens[0].1, 32_000, "{:?}", seq.gens);
-    assert_eq!(seq.gens[1].1, 16_000, "{:?}", seq.gens);
-    let sh = run_scenario_with(
+    assert_eq!(ast.gens[0].1, 32_000, "{:?}", ast.gens);
+    assert_eq!(ast.gens[1].1, 16_000, "{:?}", ast.gens);
+    // Both handler engines agree at the scaled size.
+    let bc = run_scenario_with(
         &prog,
         &sc,
         &SimOptions {
-            engine: Some(Engine::Sharded {
-                workers: 3,
-                epoch_ns: 0,
-            }),
             exec: Some(ExecMode::Bytecode),
             ..ov
         },
     )
     .unwrap();
-    assert_eq!(fingerprint(&seq), fingerprint(&sh));
+    assert_eq!(fingerprint(&ast), fingerprint(&bc));
 }
 
 /// The bundled generator scenarios must be reproducible from their files
-/// alone: same file, same seed, same digest on every engine x executor.
+/// alone: same file, same seed, same digest on every executor.
 #[test]
 fn bundled_generator_scenarios_are_matrix_deterministic() {
     let root = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("..");
@@ -176,27 +164,14 @@ fn bundled_generator_scenarios_are_matrix_deterministic() {
             &std::fs::read_to_string(root.join(format!("crates/apps/programs/{app}.lucid")))
                 .unwrap(),
         );
-        let reference =
-            run_scenario(&prog, &sc, Some(Engine::Sequential), Some(ExecMode::Ast)).unwrap();
+        let reference = run_scenario(&prog, &sc, Some(ExecMode::Ast)).unwrap();
         assert!(reference.passed(), "{name}: {:?}", reference.mismatches);
-        for engine in [
-            Engine::Sequential,
-            Engine::Sharded {
-                workers: 2,
-                epoch_ns: 0,
-            },
-        ] {
-            for exec in [ExecMode::Ast, ExecMode::Bytecode] {
-                let got = run_scenario(&prog, &sc, Some(engine), Some(exec)).unwrap();
-                assert_eq!(
-                    fingerprint(&reference),
-                    fingerprint(&got),
-                    "{name} [{}/{}]",
-                    engine.label(),
-                    exec.label()
-                );
-            }
-        }
+        let got = run_scenario(&prog, &sc, Some(ExecMode::Bytecode)).unwrap();
+        assert_eq!(
+            fingerprint(&reference),
+            fingerprint(&got),
+            "{name} [bytecode]"
+        );
     }
     assert!(found >= 2, "expected >= 2 bundled generator scenarios");
 }
@@ -211,7 +186,6 @@ fn scenario_of(switches: u64, seed: u64, gens: Vec<GenSpec>) -> Scenario {
         switches: (1..=switches).collect(),
         link_latency_ns: 1_000,
         recirc_latency_ns: 600,
-        engine: Engine::Sequential,
         exec: ExecMode::Ast,
         opt: Default::default(),
         max_events: 1_000_000,
@@ -230,7 +204,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Random generator specs (every distribution kind, random rates,
-    /// jitter, windows, phases): the engine x executor matrix must stay
+    /// jitter, windows, phases): the executor x opt matrix must stay
     /// bit-identical, and injection counts must satisfy the spec bounds.
     #[test]
     fn random_generator_specs_stay_deterministic(
@@ -276,16 +250,16 @@ proptest! {
             .collect();
         let total: u64 = gens.iter().map(|g| g.count.unwrap()).sum();
         let sc = scenario_of(switches, seed, gens);
-        let reference =
-            run_scenario(&prog, &sc, Some(Engine::Sequential), Some(ExecMode::Ast)).unwrap();
+        let reference = run_scenario(&prog, &sc, Some(ExecMode::Ast)).unwrap();
         let injected: u64 = reference.gens.iter().map(|(_, n)| n).sum();
         prop_assert_eq!(injected, total);
-        for (engine, exec) in [
-            (Engine::Sequential, ExecMode::Bytecode),
-            (Engine::Sharded { workers: 2, epoch_ns: 0 }, ExecMode::Ast),
-            (Engine::Sharded { workers: 3, epoch_ns: 0 }, ExecMode::Bytecode),
-        ] {
-            let got = run_scenario(&prog, &sc, Some(engine), Some(exec)).unwrap();
+        for opt in [OptLevel::O0, OptLevel::O2] {
+            let got = run_scenario_with(
+                &prog,
+                &sc,
+                &SimOptions::new().exec(ExecMode::Bytecode).opt(opt),
+            )
+            .unwrap();
             prop_assert_eq!(&fingerprint(&reference), &fingerprint(&got));
         }
     }
