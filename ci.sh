@@ -298,9 +298,12 @@ echo "== perf trajectory gate (BENCH_PR.json)"
 #   fig_workload_scale  bytecode_speedup >= 10.0  (measured ~11-13x; the
 #                       binary itself asserts the same floor)
 #   fig_workload_scale  min_events_per_sec >= 20000 (measured ~170k)
-#   fig_serve_ingest    events_per_sec >= 20000   (measured ~40-45k: the
-#                       served rate includes per-request JSON parsing
-#                       and reply rendering on top of the engine)
+#   fig_serve_ingest    events_per_sec >= 200000  (measured ~700-800k on
+#                       2 cores; the served rate includes request
+#                       decoding and reply rendering on top of the engine)
+#   fig_serve_ingest    scenario_load_events_per_sec >= 150000
+#                       (measured ~460-670k: one 60k-event scenario
+#                       document through Scenario::from_json)
 st_json=$(target/release/fig_sim_throughput --smoke --json)
 ws_json=$(target/release/fig_workload_scale --smoke --json)
 sv_json=$(target/release/fig_serve_ingest --smoke --json)
@@ -320,7 +323,9 @@ floor() { # floor <label> <value> <min>
 floor "fig_sim_throughput bytecode_speedup" "$(field "$st_json" bytecode_speedup)" 6.0
 floor "fig_workload_scale bytecode_speedup" "$(field "$ws_json" bytecode_speedup)" 10.0
 floor "fig_workload_scale min_events_per_sec" "$(field "$ws_json" min_events_per_sec)" 20000
-floor "fig_serve_ingest events_per_sec" "$(field "$sv_json" events_per_sec)" 20000
+floor "fig_serve_ingest events_per_sec" "$(field "$sv_json" events_per_sec)" 200000
+floor "fig_serve_ingest scenario_load_events_per_sec" \
+  "$(field "$sv_json" scenario_load_events_per_sec)" 150000
 # Render the latency-tail percentile rows human-readable next to the raw
 # JSON; the workflow uploads both, so a PR's tail latencies are one
 # click away without parsing BENCH_PR.json.

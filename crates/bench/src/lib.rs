@@ -769,6 +769,9 @@ pub struct ServeIngest {
     /// Sustained served events/sec through the protocol layer (best of
     /// the interleaved trials).
     pub events_per_sec: f64,
+    /// Events/sec of the one-shot reference's `Scenario::from_json` load
+    /// (all `target_events` authored into one document).
+    pub scenario_load_events_per_sec: f64,
     pub state_digest: u64,
     /// The served session's final report (less the two wall-clock
     /// fields) is byte-identical to the equivalent one-shot `sim` run.
@@ -829,7 +832,14 @@ pub fn serve_ingest(switches: u64, target_events: u64, batch: u64) -> ServeInges
     // one-shot.
     let evs: Vec<String> = (0..target_events).map(event).collect();
     let sc_full = format!("{header}, \"events\": [{}]}}", evs.join(","));
+    let load = Instant::now();
     let sc_full = Scenario::from_json(&sc_full).expect("one-shot scenario parses");
+    let load_s = load.elapsed().as_secs_f64();
+    let scenario_load_events_per_sec = if load_s > 0.0 {
+        target_events as f64 / load_s
+    } else {
+        0.0
+    };
     let prog = lucid_core::check::parse_and_check(src).expect("program checks");
     let oneshot = lucid_core::run_scenario_with(&prog, &sc_full, &SimOptions::default())
         .expect("one-shot runs");
@@ -881,6 +891,7 @@ pub fn serve_ingest(switches: u64, target_events: u64, batch: u64) -> ServeInges
         requests: requests.len() as u64,
         wall_ms: best_wall * 1e3,
         events_per_sec: best_eps,
+        scenario_load_events_per_sec,
         state_digest: oneshot.state_digest,
         identical,
     }

@@ -1376,16 +1376,18 @@ impl Interp {
         args: &[u64],
     ) -> Result<(), InterpError> {
         // Failed injections point at themselves: the offending time,
-        // switch, and name, so a scenario error names the bad line.
-        let at = FaultAt {
+        // switch, and name, so a scenario error names the bad line. The
+        // location is built only on those error returns.
+        let seq = self.inj_seq + 1;
+        let at = || FaultAt {
             time_ns,
             switch,
             event: event.to_string(),
             origin: None,
-            seq: self.inj_seq + 1,
+            seq,
         };
         let ev = self.prog.info.event(event).ok_or_else(|| {
-            InterpError::from(InterpFault::NoSuchEvent(event.to_string())).located(at.clone())
+            InterpError::from(InterpFault::NoSuchEvent(event.to_string())).located(at())
         })?;
         if ev.params.len() != args.len() {
             return Err(InterpError::from(InterpFault::BadArity {
@@ -1393,7 +1395,7 @@ impl Interp {
                 want: ev.params.len(),
                 got: args.len(),
             })
-            .located(at));
+            .located(at()));
         }
         let masked: Vec<u64> = ev
             .params

@@ -53,14 +53,16 @@ pub enum ScenarioError {
 }
 
 impl ScenarioError {
-    pub(crate) fn schema(path: &str, msg: impl Into<String>) -> Self {
+    /// `path` is rendered here, on the error path only, so callers can
+    /// pass a lazy [`Loc`] as cheaply as a literal.
+    pub(crate) fn schema(path: impl fmt::Display, msg: impl Into<String>) -> Self {
         ScenarioError::Schema {
             path: path.to_string(),
             msg: msg.into(),
         }
     }
 
-    pub(crate) fn validate(path: &str, msg: impl Into<String>) -> Self {
+    pub(crate) fn validate(path: impl fmt::Display, msg: impl Into<String>) -> Self {
         ScenarioError::Validate {
             path: path.to_string(),
             msg: msg.into(),
@@ -381,7 +383,7 @@ impl Scenario {
                         }
                         let mut ids = Vec::with_capacity(items.len());
                         for (i, item) in items.iter().enumerate() {
-                            ids.push(u64_of(item, &format!("$.net.switches[{i}]"))?);
+                            ids.push(u64_of(item, Loc::Root("$.net.switches").index(i))?);
                         }
                         if ids.is_empty() {
                             return Err(ScenarioError::schema(
@@ -478,15 +480,16 @@ impl Scenario {
 
         let mut init = Vec::new();
         if let Some(items) = get(fields, "init") {
-            for (i, item) in arr(items, "$.init")?.iter().enumerate() {
-                let path = format!("$.init[{i}]");
-                let pf = obj(item, &path)?;
-                check_keys(pf, &["switch", "array", "index", "value"], &path)?;
+            let root = Loc::Root("$.init");
+            for (i, item) in arr(items, root)?.iter().enumerate() {
+                let path = root.index(i);
+                let pf = obj(item, path)?;
+                check_keys(pf, &["switch", "array", "index", "value"], path)?;
                 init.push(Poke {
-                    switch: u64_of(req(pf, "switch", &path)?, &format!("{path}.switch"))?,
-                    array: str_of(req(pf, "array", &path)?, &format!("{path}.array"))?.to_string(),
-                    index: u64_of(req(pf, "index", &path)?, &format!("{path}.index"))?,
-                    value: u64_of(req(pf, "value", &path)?, &format!("{path}.value"))?,
+                    switch: u64_of(req(pf, "switch", path)?, path.field("switch"))?,
+                    array: str_of(req(pf, "array", path)?, path.field("array"))?.to_string(),
+                    index: u64_of(req(pf, "index", path)?, path.field("index"))?,
+                    value: u64_of(req(pf, "value", path)?, path.field("value"))?,
                 });
             }
         }
@@ -498,32 +501,33 @@ impl Scenario {
 
         let mut failures = Vec::new();
         if let Some(items) = get(fields, "failures") {
-            for (i, item) in arr(items, "$.failures")?.iter().enumerate() {
-                let path = format!("$.failures[{i}]");
-                let ff = obj(item, &path)?;
-                check_keys(ff, &["time_ns", "switch", "action"], &path)?;
-                let action = str_of(req(ff, "action", &path)?, &format!("{path}.action"))?;
+            let root = Loc::Root("$.failures");
+            for (i, item) in arr(items, root)?.iter().enumerate() {
+                let path = root.index(i);
+                let ff = obj(item, path)?;
+                check_keys(ff, &["time_ns", "switch", "action"], path)?;
+                let action = str_of(req(ff, "action", path)?, path.field("action"))?;
                 let kind = match action {
                     "fail" => FailureKind::Fail,
                     "recover" => FailureKind::Recover,
                     other => {
                         return Err(ScenarioError::schema(
-                            &format!("{path}.action"),
+                            path.field("action"),
                             format!("unknown action `{other}` (expected `fail` or `recover`)"),
                         ))
                     }
                 };
-                let time_ns = u64_of(req(ff, "time_ns", &path)?, &format!("{path}.time_ns"))?;
+                let time_ns = u64_of(req(ff, "time_ns", path)?, path.field("time_ns"))?;
                 if time_ns == 0 {
                     return Err(ScenarioError::schema(
-                        &format!("{path}.time_ns"),
+                        path.field("time_ns"),
                         "failure actions must be scheduled at time >= 1 ns \
                          (use `init` for time-zero state)",
                     ));
                 }
                 failures.push(FailureAction {
                     time_ns,
-                    switch: u64_of(req(ff, "switch", &path)?, &format!("{path}.switch"))?,
+                    switch: u64_of(req(ff, "switch", path)?, path.field("switch"))?,
                     kind,
                 });
             }
@@ -550,36 +554,37 @@ impl Scenario {
                 for (name, j) in obj(pe, "$.expect.per_event")? {
                     expect.per_event.push((
                         name.clone(),
-                        u64_of(j, &format!("$.expect.per_event.{name}"))?,
+                        u64_of(j, Loc::Root("$.expect.per_event").field(name))?,
                     ));
                 }
             }
             if let Some(items) = get(xf, "arrays") {
-                for (i, item) in arr(items, "$.expect.arrays")?.iter().enumerate() {
-                    let path = format!("$.expect.arrays[{i}]");
-                    let af = obj(item, &path)?;
-                    check_keys(af, &["switch", "array", "index", "value", "values"], &path)?;
-                    let switch = u64_of(req(af, "switch", &path)?, &format!("{path}.switch"))?;
-                    let array =
-                        str_of(req(af, "array", &path)?, &format!("{path}.array"))?.to_string();
+                let root = Loc::Root("$.expect.arrays");
+                for (i, item) in arr(items, root)?.iter().enumerate() {
+                    let path = root.index(i);
+                    let af = obj(item, path)?;
+                    check_keys(af, &["switch", "array", "index", "value", "values"], path)?;
+                    let switch = u64_of(req(af, "switch", path)?, path.field("switch"))?;
+                    let array = str_of(req(af, "array", path)?, path.field("array"))?.to_string();
                     let cell = match (get(af, "index"), get(af, "value")) {
                         (Some(i_), Some(v)) => Some((
-                            u64_of(i_, &format!("{path}.index"))?,
-                            u64_of(v, &format!("{path}.value"))?,
+                            u64_of(i_, path.field("index"))?,
+                            u64_of(v, path.field("value"))?,
                         )),
                         (None, None) => None,
                         _ => {
                             return Err(ScenarioError::schema(
-                                &path,
+                                path,
                                 "`index` and `value` must be given together",
                             ))
                         }
                     };
                     let values = match get(af, "values") {
                         Some(list) => {
+                            let vpath = path.field("values");
                             let mut vs = Vec::new();
-                            for (k, v) in arr(list, &format!("{path}.values"))?.iter().enumerate() {
-                                vs.push(u64_of(v, &format!("{path}.values[{k}]"))?);
+                            for (k, v) in arr(list, vpath)?.iter().enumerate() {
+                                vs.push(u64_of(v, vpath.index(k))?);
                             }
                             Some(vs)
                         }
@@ -587,7 +592,7 @@ impl Scenario {
                     };
                     if cell.is_none() && values.is_none() {
                         return Err(ScenarioError::schema(
-                            &path,
+                            path,
                             "expected either `index`+`value` or `values`",
                         ));
                     }
@@ -606,29 +611,30 @@ impl Scenario {
             let mf = obj(m, "$.metrics")?;
             check_keys(mf, &["expect"], "$.metrics")?;
             if let Some(items) = get(mf, "expect") {
-                for (i, item) in arr(items, "$.metrics.expect")?.iter().enumerate() {
-                    let path = format!("$.metrics.expect[{i}]");
-                    let xf = obj(item, &path)?;
-                    check_keys(xf, &["event", "switch", "metric", "op", "value"], &path)?;
-                    let event = str_of(req(xf, "event", &path)?, &format!("{path}.event"))?;
+                let root = Loc::Root("$.metrics.expect");
+                for (i, item) in arr(items, root)?.iter().enumerate() {
+                    let path = root.index(i);
+                    let xf = obj(item, path)?;
+                    check_keys(xf, &["event", "switch", "metric", "op", "value"], path)?;
+                    let event = str_of(req(xf, "event", path)?, path.field("event"))?;
                     let switch = match get(xf, "switch") {
-                        Some(j) => Some(u64_of(j, &format!("{path}.switch"))?),
+                        Some(j) => Some(u64_of(j, path.field("switch"))?),
                         None => None,
                     };
-                    let sel = str_of(req(xf, "metric", &path)?, &format!("{path}.metric"))?;
+                    let sel = str_of(req(xf, "metric", path)?, path.field("metric"))?;
                     let Some(metric) = MetricSel::parse(sel) else {
                         return Err(ScenarioError::schema(
-                            &format!("{path}.metric"),
+                            path.field("metric"),
                             format!(
                                 "unknown metric `{sel}` (expected one of {})",
                                 MetricSel::all_labels().join(", ")
                             ),
                         ));
                     };
-                    let op_s = str_of(req(xf, "op", &path)?, &format!("{path}.op"))?;
+                    let op_s = str_of(req(xf, "op", path)?, path.field("op"))?;
                     let Some(op) = CmpOp::parse(op_s) else {
                         return Err(ScenarioError::schema(
-                            &format!("{path}.op"),
+                            path.field("op"),
                             format!("unknown operator `{op_s}` (expected <, <=, >, >=, ==, !=)"),
                         ));
                     };
@@ -637,7 +643,7 @@ impl Scenario {
                         switch,
                         metric,
                         op,
-                        value: u64_of(req(xf, "value", &path)?, &format!("{path}.value"))?,
+                        value: u64_of(req(xf, "value", path)?, path.field("value"))?,
                     });
                 }
             }
@@ -670,7 +676,7 @@ impl Scenario {
         let doc = json::parse(src)?;
         match &doc {
             json::Json::Arr(_) => generators_of(&doc, "$"),
-            json::Json::Obj(_) => Ok(vec![generator_of(&doc, "$", 0)?]),
+            json::Json::Obj(_) => Ok(vec![generator_of(&doc, Loc::Root("$"), 0)?]),
             other => Err(ScenarioError::schema(
                 "$",
                 format!(
@@ -693,23 +699,24 @@ impl Scenario {
                 .map(|gid| prog.info.globals[gid.0].len)
         };
 
+        let root = Loc::Root("$.init");
         for (i, p) in self.init.iter().enumerate() {
-            let path = format!("$.init[{i}]");
+            let path = root.index(i);
             if !known_switch(p.switch) {
                 return Err(ScenarioError::validate(
-                    &format!("{path}.switch"),
+                    path.field("switch"),
                     format!("switch {} is not in the topology", p.switch),
                 ));
             }
             let Some(len) = array_len(&p.array) else {
                 return Err(ScenarioError::validate(
-                    &format!("{path}.array"),
+                    path.field("array"),
                     format!("no global array named `{}`", p.array),
                 ));
             };
             if p.index >= len {
                 return Err(ScenarioError::validate(
-                    &format!("{path}.index"),
+                    path.field("index"),
                     format!(
                         "index {} out of range for `{}` (len {len})",
                         p.index, p.array
@@ -722,7 +729,7 @@ impl Scenario {
             let width = prog.info.globals[prog.info.globals_by_name[&p.array].0].cell_width;
             if mask(p.value, width) != p.value {
                 return Err(ScenarioError::validate(
-                    &format!("{path}.value"),
+                    path.field("value"),
                     format!(
                         "value {} does not fit `{}`'s {width}-bit cells \
                          (max {})",
@@ -734,17 +741,18 @@ impl Scenario {
             }
         }
 
+        let root = Loc::Root("$.generators");
         for (i, g) in self.generators.iter().enumerate() {
-            let path = format!("$.generators[{i}]");
+            let path = root.index(i);
             let Some(ev) = prog.info.event(&g.event) else {
                 return Err(ScenarioError::validate(
-                    &format!("{path}.event"),
+                    path.field("event"),
                     format!("no event named `{}`", g.event),
                 ));
             };
             if ev.params.len() != g.args.len() {
                 return Err(ScenarioError::validate(
-                    &format!("{path}.args"),
+                    path.field("args"),
                     format!(
                         "event `{}` wants {} args, got {}",
                         g.event,
@@ -755,36 +763,38 @@ impl Scenario {
             }
             for (k, s) in g.switches.iter().enumerate() {
                 if !known_switch(*s) {
+                    let spath = path.field("switches");
                     let field = if g.switches.len() == 1 {
-                        format!("{path}.switch")
+                        path.field("switch")
                     } else {
-                        format!("{path}.switches[{k}]")
+                        spath.index(k)
                     };
                     return Err(ScenarioError::validate(
-                        &field,
+                        field,
                         format!("switch {s} is not in the topology"),
                     ));
                 }
             }
         }
 
+        let root = Loc::Root("$.events");
         for (i, inj) in self.events.iter().enumerate() {
-            let path = format!("$.events[{i}]");
+            let path = root.index(i);
             if !known_switch(inj.switch) {
                 return Err(ScenarioError::validate(
-                    &format!("{path}.switch"),
+                    path.field("switch"),
                     format!("switch {} is not in the topology", inj.switch),
                 ));
             }
             let Some(ev) = prog.info.event(&inj.event) else {
                 return Err(ScenarioError::validate(
-                    &format!("{path}.event"),
+                    path.field("event"),
                     format!("no event named `{}`", inj.event),
                 ));
             };
             if ev.params.len() != inj.args.len() {
                 return Err(ScenarioError::validate(
-                    &format!("{path}.args"),
+                    path.field("args"),
                     format!(
                         "event `{}` wants {} args, got {}",
                         inj.event,
@@ -798,30 +808,31 @@ impl Scenario {
         for (i, f) in self.failures.iter().enumerate() {
             if !known_switch(f.switch) {
                 return Err(ScenarioError::validate(
-                    &format!("$.failures[{i}].switch"),
+                    Loc::Root("$.failures").index(i).field("switch"),
                     format!("switch {} is not in the topology", f.switch),
                 ));
             }
         }
 
+        let root = Loc::Root("$.expect.arrays");
         for (i, x) in self.expect.arrays.iter().enumerate() {
-            let path = format!("$.expect.arrays[{i}]");
+            let path = root.index(i);
             if !known_switch(x.switch) {
                 return Err(ScenarioError::validate(
-                    &format!("{path}.switch"),
+                    path.field("switch"),
                     format!("switch {} is not in the topology", x.switch),
                 ));
             }
             let Some(len) = array_len(&x.array) else {
                 return Err(ScenarioError::validate(
-                    &format!("{path}.array"),
+                    path.field("array"),
                     format!("no global array named `{}`", x.array),
                 ));
             };
             if let Some((idx, _)) = x.cell {
                 if idx >= len {
                     return Err(ScenarioError::validate(
-                        &format!("{path}.index"),
+                        path.field("index"),
                         format!("index {idx} out of range for `{}` (len {len})", x.array),
                     ));
                 }
@@ -829,7 +840,7 @@ impl Scenario {
             if let Some(vs) = &x.values {
                 if vs.len() as u64 != len {
                     return Err(ScenarioError::validate(
-                        &format!("{path}.values"),
+                        path.field("values"),
                         format!(
                             "`{}` has {len} cells but {} values were given",
                             x.array,
@@ -843,24 +854,25 @@ impl Scenario {
         for (name, _) in &self.expect.per_event {
             if prog.info.event(name).is_none() {
                 return Err(ScenarioError::validate(
-                    &format!("$.expect.per_event.{name}"),
+                    Loc::Root("$.expect.per_event").field(name),
                     format!("no event named `{name}`"),
                 ));
             }
         }
 
+        let root = Loc::Root("$.metrics.expect");
         for (i, m) in self.metrics.iter().enumerate() {
-            let path = format!("$.metrics.expect[{i}]");
+            let path = root.index(i);
             if prog.info.event(&m.event).is_none() {
                 return Err(ScenarioError::validate(
-                    &format!("{path}.event"),
+                    path.field("event"),
                     format!("no event named `{}`", m.event),
                 ));
             }
             if let Some(s) = m.switch {
                 if !known_switch(s) {
                     return Err(ScenarioError::validate(
-                        &format!("{path}.switch"),
+                        path.field("switch"),
                         format!("switch {s} is not in the topology"),
                     ));
                 }
@@ -1350,21 +1362,26 @@ pub fn json_escape(s: &str) -> String {
 /// Parse a scenario `events` array (shared with the serve `ingest` verb,
 /// whose batches use the same shape).
 pub(crate) fn injections_of(j: &json::Json, path: &str) -> Result<Vec<Injection>, ScenarioError> {
-    let mut events = Vec::new();
-    for (i, item) in arr(j, path)?.iter().enumerate() {
-        let path = format!("{path}[{i}]");
-        let ef = obj(item, &path)?;
-        check_keys(ef, &["time_ns", "switch", "event", "args"], &path)?;
+    let items = arr(j, path)?;
+    let root = Loc::Root(path);
+    let mut events = Vec::with_capacity(items.len());
+    for (i, item) in items.iter().enumerate() {
+        let path = root.index(i);
+        let ef = obj(item, path)?;
+        check_keys(ef, &["time_ns", "switch", "event", "args"], path)?;
         let mut args = Vec::new();
         if let Some(list) = get(ef, "args") {
-            for (k, a) in arr(list, &format!("{path}.args"))?.iter().enumerate() {
-                args.push(u64_of(a, &format!("{path}.args[{k}]"))?);
+            let apath = path.field("args");
+            let list = arr(list, apath)?;
+            args.reserve_exact(list.len());
+            for (k, a) in list.iter().enumerate() {
+                args.push(u64_of(a, apath.index(k))?);
             }
         }
         events.push(Injection {
-            time_ns: u64_of(req(ef, "time_ns", &path)?, &format!("{path}.time_ns"))?,
-            switch: u64_of(req(ef, "switch", &path)?, &format!("{path}.switch"))?,
-            event: str_of(req(ef, "event", &path)?, &format!("{path}.event"))?.to_string(),
+            time_ns: u64_of(req(ef, "time_ns", path)?, path.field("time_ns"))?,
+            switch: u64_of(req(ef, "switch", path)?, path.field("switch"))?,
+            event: str_of(req(ef, "event", path)?, path.field("event"))?.to_string(),
             args,
         });
     }
@@ -1373,15 +1390,16 @@ pub(crate) fn injections_of(j: &json::Json, path: &str) -> Result<Vec<Injection>
 
 pub(crate) fn generators_of(j: &json::Json, path: &str) -> Result<Vec<GenSpec>, ScenarioError> {
     let items = arr(j, path)?;
+    let root = Loc::Root(path);
     let mut out = Vec::with_capacity(items.len());
     for (i, item) in items.iter().enumerate() {
-        out.push(generator_of(item, &format!("{path}[{i}]"), i)?);
+        out.push(generator_of(item, root.index(i), i)?);
     }
     // Names key the per-generator report rows; duplicates would merge.
     for (i, g) in out.iter().enumerate() {
         if out[..i].iter().any(|h| h.name == g.name) {
             return Err(ScenarioError::schema(
-                &format!("{path}[{i}].name"),
+                root.index(i).field("name"),
                 format!("duplicate generator name `{}`", g.name),
             ));
         }
@@ -1391,27 +1409,27 @@ pub(crate) fn generators_of(j: &json::Json, path: &str) -> Result<Vec<GenSpec>, 
 
 /// A required rate expressed either way: `rate_eps` (events per virtual
 /// second) or a raw `interval_ns` gap.
-fn interval_of(fields: &[(String, json::Json)], path: &str) -> Result<u64, ScenarioError> {
+fn interval_of(fields: &[(String, json::Json)], path: Loc<'_>) -> Result<u64, ScenarioError> {
     match (get(fields, "rate_eps"), get(fields, "interval_ns")) {
         (Some(_), Some(_)) => Err(ScenarioError::schema(
             path,
             "give either `rate_eps` or `interval_ns`, not both",
         )),
         (Some(r), None) => {
-            let rate = u64_of(r, &format!("{path}.rate_eps"))?;
+            let rate = u64_of(r, path.field("rate_eps"))?;
             if rate == 0 {
                 return Err(ScenarioError::schema(
-                    &format!("{path}.rate_eps"),
+                    path.field("rate_eps"),
                     "rate must be at least 1 event per second",
                 ));
             }
             Ok((1_000_000_000 / rate).max(1))
         }
         (None, Some(iv)) => {
-            let iv = u64_of(iv, &format!("{path}.interval_ns"))?;
+            let iv = u64_of(iv, path.field("interval_ns"))?;
             if iv == 0 {
                 return Err(ScenarioError::schema(
-                    &format!("{path}.interval_ns"),
+                    path.field("interval_ns"),
                     "the inter-arrival interval must be at least 1 ns",
                 ));
             }
@@ -1424,7 +1442,7 @@ fn interval_of(fields: &[(String, json::Json)], path: &str) -> Result<u64, Scena
     }
 }
 
-fn generator_of(j: &json::Json, path: &str, index: usize) -> Result<GenSpec, ScenarioError> {
+fn generator_of(j: &json::Json, path: Loc<'_>, index: usize) -> Result<GenSpec, ScenarioError> {
     let gf = obj(j, path)?;
     check_keys(
         gf,
@@ -1446,10 +1464,10 @@ fn generator_of(j: &json::Json, path: &str, index: usize) -> Result<GenSpec, Sce
         path,
     )?;
     let name = match get(gf, "name") {
-        Some(n) => str_of(n, &format!("{path}.name"))?.to_string(),
+        Some(n) => str_of(n, path.field("name"))?.to_string(),
         None => format!("gen{index}"),
     };
-    let event = str_of(req(gf, "event", path)?, &format!("{path}.event"))?.to_string();
+    let event = str_of(req(gf, "event", path)?, path.field("event"))?.to_string();
     let switches = match (get(gf, "switch"), get(gf, "switches")) {
         (Some(_), Some(_)) => {
             return Err(ScenarioError::schema(
@@ -1457,16 +1475,16 @@ fn generator_of(j: &json::Json, path: &str, index: usize) -> Result<GenSpec, Sce
                 "give either `switch` or `switches`, not both",
             ))
         }
-        (Some(s), None) => vec![u64_of(s, &format!("{path}.switch"))?],
+        (Some(s), None) => vec![u64_of(s, path.field("switch"))?],
         (None, Some(list)) => {
-            let spath = format!("{path}.switches");
-            let items = arr(list, &spath)?;
+            let spath = path.field("switches");
+            let items = arr(list, spath)?;
             if items.is_empty() {
-                return Err(ScenarioError::schema(&spath, "needs at least one switch"));
+                return Err(ScenarioError::schema(spath, "needs at least one switch"));
             }
             let mut ids = Vec::with_capacity(items.len());
             for (k, s) in items.iter().enumerate() {
-                ids.push(u64_of(s, &format!("{spath}[{k}]"))?);
+                ids.push(u64_of(s, spath.index(k))?);
             }
             ids
         }
@@ -1474,18 +1492,18 @@ fn generator_of(j: &json::Json, path: &str, index: usize) -> Result<GenSpec, Sce
     };
     let interval_ns = interval_of(gf, path)?;
     let jitter_ns = match get(gf, "jitter_ns") {
-        Some(v) => u64_of(v, &format!("{path}.jitter_ns"))?,
+        Some(v) => u64_of(v, path.field("jitter_ns"))?,
         None => 0,
     };
     let start_ns = match get(gf, "start_ns") {
-        Some(v) => u64_of(v, &format!("{path}.start_ns"))?,
+        Some(v) => u64_of(v, path.field("start_ns"))?,
         None => 0,
     };
     let stop_ns = get(gf, "stop_ns")
-        .map(|v| u64_of(v, &format!("{path}.stop_ns")))
+        .map(|v| u64_of(v, path.field("stop_ns")))
         .transpose()?;
     let count = get(gf, "count")
-        .map(|v| u64_of(v, &format!("{path}.count")))
+        .map(|v| u64_of(v, path.field("count")))
         .transpose()?;
     if stop_ns.is_none() && count.is_none() {
         return Err(ScenarioError::schema(
@@ -1496,35 +1514,37 @@ fn generator_of(j: &json::Json, path: &str, index: usize) -> Result<GenSpec, Sce
     if let Some(stop) = stop_ns {
         if stop < start_ns {
             return Err(ScenarioError::schema(
-                &format!("{path}.stop_ns"),
+                path.field("stop_ns"),
                 format!("stop ({stop}) precedes start ({start_ns})"),
             ));
         }
     }
     let seed = match get(gf, "seed") {
-        Some(v) => u64_of(v, &format!("{path}.seed"))?,
+        Some(v) => u64_of(v, path.field("seed"))?,
         None => index as u64,
     };
     let mut args = Vec::new();
     if let Some(list) = get(gf, "args") {
-        for (k, a) in arr(list, &format!("{path}.args"))?.iter().enumerate() {
-            args.push(arg_dist_of(a, &format!("{path}.args[{k}]"))?);
+        let apath = path.field("args");
+        for (k, a) in arr(list, apath)?.iter().enumerate() {
+            args.push(arg_dist_of(a, apath.index(k))?);
         }
     }
     let mut phases = Vec::new();
     if let Some(list) = get(gf, "phases") {
-        for (k, p) in arr(list, &format!("{path}.phases"))?.iter().enumerate() {
-            let ppath = format!("{path}.phases[{k}]");
-            let pf = obj(p, &ppath)?;
-            check_keys(pf, &["at_ns", "rate_eps", "interval_ns"], &ppath)?;
-            let at_ns = u64_of(req(pf, "at_ns", &ppath)?, &format!("{ppath}.at_ns"))?;
-            let interval_ns = interval_of(pf, &ppath)?;
+        let phases_path = path.field("phases");
+        for (k, p) in arr(list, phases_path)?.iter().enumerate() {
+            let ppath = phases_path.index(k);
+            let pf = obj(p, ppath)?;
+            check_keys(pf, &["at_ns", "rate_eps", "interval_ns"], ppath)?;
+            let at_ns = u64_of(req(pf, "at_ns", ppath)?, ppath.field("at_ns"))?;
+            let interval_ns = interval_of(pf, ppath)?;
             phases.push(Phase { at_ns, interval_ns });
         }
         for w in phases.windows(2) {
             if w[1].at_ns <= w[0].at_ns {
                 return Err(ScenarioError::schema(
-                    &format!("{path}.phases"),
+                    phases_path,
                     "phases must be strictly increasing in `at_ns`",
                 ));
             }
@@ -1545,7 +1565,7 @@ fn generator_of(j: &json::Json, path: &str, index: usize) -> Result<GenSpec, Sce
     })
 }
 
-fn arg_dist_of(j: &json::Json, path: &str) -> Result<ArgDist, ScenarioError> {
+fn arg_dist_of(j: &json::Json, path: Loc<'_>) -> Result<ArgDist, ScenarioError> {
     match j {
         json::Json::Num(_) => Ok(ArgDist::Const(u64_of(j, path)?)),
         json::Json::Obj(fields) => {
@@ -1559,65 +1579,65 @@ fn arg_dist_of(j: &json::Json, path: &str) -> Result<ArgDist, ScenarioError> {
             }
             let (kind, body) = &fields[0];
             match kind.as_str() {
-                "const" => Ok(ArgDist::Const(u64_of(body, &format!("{path}.const"))?)),
+                "const" => Ok(ArgDist::Const(u64_of(body, path.field("const"))?)),
                 "uniform" => {
-                    let upath = format!("{path}.uniform");
+                    let upath = path.field("uniform");
                     let (lo, hi) = match body {
                         // Compact form: "uniform": [lo, hi].
                         json::Json::Arr(items) if items.len() == 2 => (
-                            u64_of(&items[0], &format!("{upath}[0]"))?,
-                            u64_of(&items[1], &format!("{upath}[1]"))?,
+                            u64_of(&items[0], upath.index(0))?,
+                            u64_of(&items[1], upath.index(1))?,
                         ),
                         json::Json::Obj(uf) => {
-                            check_keys(uf, &["lo", "hi"], &upath)?;
+                            check_keys(uf, &["lo", "hi"], upath)?;
                             (
-                                u64_of(req(uf, "lo", &upath)?, &format!("{upath}.lo"))?,
-                                u64_of(req(uf, "hi", &upath)?, &format!("{upath}.hi"))?,
+                                u64_of(req(uf, "lo", upath)?, upath.field("lo"))?,
+                                u64_of(req(uf, "hi", upath)?, upath.field("hi"))?,
                             )
                         }
                         _ => {
                             return Err(ScenarioError::schema(
-                                &upath,
+                                upath,
                                 "expected {lo, hi} or a two-element array",
                             ))
                         }
                     };
                     if lo > hi {
                         return Err(ScenarioError::schema(
-                            &upath,
+                            upath,
                             format!("empty range: lo ({lo}) > hi ({hi})"),
                         ));
                     }
                     Ok(ArgDist::Uniform { lo, hi })
                 }
                 "zipf" => {
-                    let zpath = format!("{path}.zipf");
-                    let zf = obj(body, &zpath)?;
-                    check_keys(zf, &["n", "s"], &zpath)?;
-                    let n = u64_of(req(zf, "n", &zpath)?, &format!("{zpath}.n"))?;
+                    let zpath = path.field("zipf");
+                    let zf = obj(body, zpath)?;
+                    check_keys(zf, &["n", "s"], zpath)?;
+                    let n = u64_of(req(zf, "n", zpath)?, zpath.field("n"))?;
                     if n == 0 {
                         return Err(ScenarioError::schema(
-                            &format!("{zpath}.n"),
+                            zpath.field("n"),
                             "zipf needs at least one key",
                         ));
                     }
                     let s = match get(zf, "s") {
-                        Some(v) => f64_of(v, &format!("{zpath}.s"))?,
+                        Some(v) => f64_of(v, zpath.field("s"))?,
                         None => 1.0,
                     };
                     if !(s > 0.0 && s.is_finite()) {
                         return Err(ScenarioError::schema(
-                            &format!("{zpath}.s"),
+                            zpath.field("s"),
                             format!("the exponent must be positive and finite, got {s}"),
                         ));
                     }
                     Ok(ArgDist::Zipf { n, s })
                 }
                 "seq" => {
-                    let n = u64_of(body, &format!("{path}.seq"))?;
+                    let n = u64_of(body, path.field("seq"))?;
                     if n == 0 {
                         return Err(ScenarioError::schema(
-                            &format!("{path}.seq"),
+                            path.field("seq"),
                             "seq needs a nonzero modulus",
                         ));
                     }
@@ -1638,10 +1658,44 @@ fn arg_dist_of(j: &json::Json, path: &str) -> Result<ArgDist, ScenarioError> {
 
 // -------------------------------------------------------- JSON accessors
 
-pub(crate) fn obj<'a>(
-    j: &'a json::Json,
-    path: &str,
-) -> Result<&'a [(String, json::Json)], ScenarioError> {
+/// A field path such as `$.events[3].args[0]`, built as a chain of
+/// borrowed segments on the stack. It is rendered (through `Display`)
+/// only when an error names it, so walking a large document formats no
+/// path strings on the success path.
+#[derive(Clone, Copy)]
+pub(crate) enum Loc<'a> {
+    /// A literal path (`$`, `$.events`, ...).
+    Root(&'a str),
+    /// `parent.key`
+    Field(&'a Loc<'a>, &'a str),
+    /// `parent[i]`
+    Index(&'a Loc<'a>, usize),
+}
+
+impl<'a> Loc<'a> {
+    pub(crate) fn field(&'a self, key: &'a str) -> Loc<'a> {
+        Loc::Field(self, key)
+    }
+
+    pub(crate) fn index(&'a self, i: usize) -> Loc<'a> {
+        Loc::Index(self, i)
+    }
+}
+
+impl fmt::Display for Loc<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Loc::Root(path) => f.write_str(path),
+            Loc::Field(parent, key) => write!(f, "{parent}.{key}"),
+            Loc::Index(parent, i) => write!(f, "{parent}[{i}]"),
+        }
+    }
+}
+
+pub(crate) fn obj(
+    j: &json::Json,
+    path: impl fmt::Display,
+) -> Result<&[(String, json::Json)], ScenarioError> {
     match j {
         json::Json::Obj(fields) => Ok(fields),
         other => Err(ScenarioError::schema(
@@ -1651,7 +1705,7 @@ pub(crate) fn obj<'a>(
     }
 }
 
-pub(crate) fn arr<'a>(j: &'a json::Json, path: &str) -> Result<&'a [json::Json], ScenarioError> {
+pub(crate) fn arr(j: &json::Json, path: impl fmt::Display) -> Result<&[json::Json], ScenarioError> {
     match j {
         json::Json::Arr(items) => Ok(items),
         other => Err(ScenarioError::schema(
@@ -1661,6 +1715,7 @@ pub(crate) fn arr<'a>(j: &'a json::Json, path: &str) -> Result<&'a [json::Json],
     }
 }
 
+/// The value of `key`; the first occurrence wins when a key repeats.
 pub(crate) fn get<'a>(fields: &'a [(String, json::Json)], key: &str) -> Option<&'a json::Json> {
     fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
 }
@@ -1668,13 +1723,13 @@ pub(crate) fn get<'a>(fields: &'a [(String, json::Json)], key: &str) -> Option<&
 pub(crate) fn req<'a>(
     fields: &'a [(String, json::Json)],
     key: &str,
-    path: &str,
+    path: impl fmt::Display,
 ) -> Result<&'a json::Json, ScenarioError> {
     get(fields, key)
         .ok_or_else(|| ScenarioError::schema(path, format!("missing required field `{key}`")))
 }
 
-pub(crate) fn str_of<'a>(j: &'a json::Json, path: &str) -> Result<&'a str, ScenarioError> {
+pub(crate) fn str_of(j: &json::Json, path: impl fmt::Display) -> Result<&str, ScenarioError> {
     match j {
         json::Json::Str(s) => Ok(s),
         other => Err(ScenarioError::schema(
@@ -1684,7 +1739,7 @@ pub(crate) fn str_of<'a>(j: &'a json::Json, path: &str) -> Result<&'a str, Scena
     }
 }
 
-pub(crate) fn u64_of(j: &json::Json, path: &str) -> Result<u64, ScenarioError> {
+pub(crate) fn u64_of(j: &json::Json, path: impl fmt::Display) -> Result<u64, ScenarioError> {
     match j {
         json::Json::Num(n) => {
             if *n < 0.0 || n.fract() != 0.0 || *n > 9_007_199_254_740_992.0 {
@@ -1703,7 +1758,7 @@ pub(crate) fn u64_of(j: &json::Json, path: &str) -> Result<u64, ScenarioError> {
     }
 }
 
-fn f64_of(j: &json::Json, path: &str) -> Result<f64, ScenarioError> {
+fn f64_of(j: &json::Json, path: impl fmt::Display) -> Result<f64, ScenarioError> {
     match j {
         json::Json::Num(n) => Ok(*n),
         other => Err(ScenarioError::schema(
@@ -1724,7 +1779,7 @@ fn too_many_switches(n: u64) -> ScenarioError {
 pub(crate) fn check_keys(
     fields: &[(String, json::Json)],
     allowed: &[&str],
-    path: &str,
+    path: impl fmt::Display,
 ) -> Result<(), ScenarioError> {
     for (k, _) in fields {
         if !allowed.contains(&k.as_str()) {
@@ -1779,6 +1834,7 @@ pub mod json {
 
     pub fn parse(src: &str) -> Result<Json, ScenarioError> {
         let mut p = Parser {
+            src,
             bytes: src.as_bytes(),
             pos: 0,
             depth: 0,
@@ -1793,6 +1849,9 @@ pub mod json {
     }
 
     struct Parser<'a> {
+        src: &'a str,
+        /// `src` as bytes: the grammar is ASCII, so the parser steps
+        /// bytewise and only slices `src` at ASCII delimiters.
         bytes: &'a [u8],
         pos: usize,
         /// Arrays and objects currently open.
@@ -1926,13 +1985,23 @@ pub mod json {
             self.expect(b'"')?;
             let mut out = String::new();
             loop {
+                // Copy the whole run up to the next `"` or `\` at once.
+                // Both delimiters are ASCII, so the run ends on a char
+                // boundary of `src` and needs no re-validation.
+                let run = self.bytes[self.pos..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .unwrap_or(self.bytes.len() - self.pos);
+                out.push_str(&self.src[self.pos..self.pos + run]);
+                self.pos += run;
                 match self.peek() {
                     None => return Err(self.err("unterminated string")),
                     Some(b'"') => {
                         self.pos += 1;
                         return Ok(out);
                     }
-                    Some(b'\\') => {
+                    Some(_) => {
+                        // A `\`: decode one escape sequence.
                         self.pos += 1;
                         match self.peek() {
                             Some(b'"') => out.push('"'),
@@ -1947,29 +2016,43 @@ pub mod json {
                                 if self.pos + 5 > self.bytes.len() {
                                     return Err(self.err("truncated \\u escape"));
                                 }
-                                let hex =
-                                    std::str::from_utf8(&self.bytes[self.pos + 1..self.pos + 5])
-                                        .ok()
-                                        .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                        .ok_or_else(|| self.err("bad \\u escape"))?;
-                                out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
+                                let unit = self
+                                    .hex4(self.pos + 1)
+                                    .ok_or_else(|| self.err("bad \\u escape"))?;
                                 self.pos += 4;
+                                out.push(self.utf16_char(unit).unwrap_or('\u{fffd}'));
                             }
                             _ => return Err(self.err("bad escape sequence")),
                         }
                         self.pos += 1;
                     }
-                    Some(_) => {
-                        // Consume one UTF-8 scalar (the input is &str, so
-                        // boundaries are valid).
-                        let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                            .map_err(|_| self.err("invalid UTF-8"))?;
-                        let c = rest.chars().next().expect("peeked");
-                        out.push(c);
-                        self.pos += c.len_utf8();
-                    }
                 }
             }
+        }
+
+        /// The four hex digits at `at`, if they are there.
+        fn hex4(&self, at: usize) -> Option<u32> {
+            let digits = self.bytes.get(at..at + 4)?;
+            u32::from_str_radix(std::str::from_utf8(digits).ok()?, 16).ok()
+        }
+
+        /// The character a `\u` escape's UTF-16 code `unit` stands for,
+        /// with `pos` on the escape's last hex digit. A high surrogate
+        /// directly followed by a `\u` low surrogate combines with it
+        /// (consuming the second escape); a lone surrogate is `None`.
+        fn utf16_char(&mut self, unit: u32) -> Option<char> {
+            if !(0xD800..0xDC00).contains(&unit) {
+                return char::from_u32(unit);
+            }
+            if self.bytes.get(self.pos + 1..self.pos + 3) != Some(b"\\u") {
+                return None;
+            }
+            let low = self.hex4(self.pos + 3)?;
+            if !(0xDC00..0xE000).contains(&low) {
+                return None;
+            }
+            self.pos += 6;
+            char::from_u32(0x10000 + ((unit - 0xD800) << 10) + (low - 0xDC00))
         }
 
         fn number(&mut self) -> Result<Json, ScenarioError> {
@@ -2031,6 +2114,162 @@ mod tests {
             panic!()
         };
         assert_eq!(items[1], json::Json::Num(2.5));
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_and_lone_surrogates_are_replaced() {
+        let s = |doc: &str| match json::parse(doc).unwrap() {
+            json::Json::Str(s) => s,
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(s(r#""\ud83d\ude00""#), "\u{1f600}");
+        assert_eq!(s(r#""a\uD83D\uDE00b""#), "a\u{1f600}b");
+        // A lone high surrogate, a lone low one, and a high one followed
+        // by an escape that is not a low surrogate (which then decodes
+        // on its own) each stand for U+FFFD.
+        assert_eq!(s(r#""a\ud83db""#), "a\u{fffd}b");
+        assert_eq!(s(r#""\ud83d""#), "\u{fffd}");
+        assert_eq!(s(r#""a\ude00b""#), "a\u{fffd}b");
+        assert_eq!(s(r#""\ud83d\u0041""#), "\u{fffd}A");
+        assert_eq!(s(r#""\ud83d\ud83d\ude00""#), "\u{fffd}\u{1f600}");
+    }
+
+    #[test]
+    fn json_parse_is_linear_in_document_size() {
+        // Completion is the assertion: a parser that rescans the rest of
+        // the document per character takes hours on this input.
+        let unit = r#"ab\"c\\d \u00e9 \ud83d\ude00 h\u00e9llo w\u00f6rld "#;
+        let decoded = "ab\"c\\d \u{e9} \u{1f600} h\u{e9}llo w\u{f6}rld ";
+        let reps = (4 << 20) / unit.len() + 1;
+        let list: Vec<String> = (0..150_000).map(|i| format!("\"s{i}\"")).collect();
+        let doc = format!(
+            r#"{{"big": "{}", "list": [{}]}}"#,
+            unit.repeat(reps),
+            list.join(",")
+        );
+        assert!(doc.len() > (5 << 20), "{}", doc.len());
+        let j = json::parse(&doc).unwrap();
+        let json::Json::Obj(fields) = &j else {
+            panic!()
+        };
+        assert_eq!(fields[0].1, json::Json::Str(decoded.repeat(reps)));
+        let json::Json::Arr(items) = &fields[1].1 else {
+            panic!()
+        };
+        assert_eq!(items.len(), 150_000);
+        assert_eq!(items[149_999], json::Json::Str("s149999".to_string()));
+    }
+
+    #[test]
+    fn scenario_load_is_linear_in_event_count() {
+        let events: Vec<String> = (0..60_000u64)
+            .map(|i| {
+                format!(
+                    r#"{{"time_ns":{},"switch":{},"event":"pkt","args":[{}]}}"#,
+                    100 * (i + 1),
+                    1 + i % 4,
+                    i % 8
+                )
+            })
+            .collect();
+        let doc = format!(
+            r#"{{"name":"big","net":{{"switches":4}},"events":[{}]}}"#,
+            events.join(",")
+        );
+        let sc = Scenario::from_json(&doc).unwrap();
+        assert_eq!(sc.events.len(), 60_000);
+        assert_eq!(
+            sc.events[59_999],
+            Injection {
+                time_ns: 6_000_000,
+                switch: 4,
+                event: "pkt".to_string(),
+                args: vec![7],
+            }
+        );
+        sc.validate(&prog()).unwrap();
+    }
+
+    #[test]
+    fn error_paths_and_messages_are_pinned() {
+        let p = prog();
+        let cases = [
+            (
+                r#"{"events":[{"time_ns":1,"switch":1,"event":"pkt","args":[1,-2]}]}"#,
+                "scenario schema error at `$.events[0].args[1]`: \
+                 expected a non-negative integer, found -2",
+            ),
+            (
+                r#"{"events":[{"time_ns":1,"switch":1,"event":"pkt"},{"switch":1,"event":"pkt"}]}"#,
+                "scenario schema error at `$.events[1]`: missing required field `time_ns`",
+            ),
+            (
+                r#"{"events":[{"time_ns":1,"switch":1,"event":"pkt","argz":[]}]}"#,
+                "scenario schema error at `$.events[0]`: unknown field `argz` \
+                 (expected one of: time_ns, switch, event, args)",
+            ),
+            (
+                r#"{"events":[{"time_ns":1,"switch":1,"event":"pkt","args":{}}]}"#,
+                "scenario schema error at `$.events[0].args`: expected an array, found an object",
+            ),
+            (
+                r#"{"expect":{"arrays":[{"switch":1,"array":"cts","values":[1,true]}]}}"#,
+                "scenario schema error at `$.expect.arrays[0].values[1]`: \
+                 expected a number, found a bool",
+            ),
+            (
+                r#"{"expect":{"per_event":{"pkt":-1}}}"#,
+                "scenario schema error at `$.expect.per_event.pkt`: \
+                 expected a non-negative integer, found -1",
+            ),
+            (
+                r#"{"net":{"switches":[1,"two"]}}"#,
+                "scenario schema error at `$.net.switches[1]`: expected a number, found a string",
+            ),
+            (
+                r#"{"generators":[{"event":"pkt","rate_eps":1,"count":1,
+                    "args":[{"uniform":{"lo":1,"hi":"x"}}]}]}"#,
+                "scenario schema error at `$.generators[0].args[0].uniform.hi`: \
+                 expected a number, found a string",
+            ),
+            (
+                r#"{"generators":[{"event":"pkt","rate_eps":1,"count":1,
+                    "phases":[{"at_ns":5,"rate_eps":0}]}]}"#,
+                "scenario schema error at `$.generators[0].phases[0].rate_eps`: \
+                 rate must be at least 1 event per second",
+            ),
+            (
+                r#"{"events":[{"time_ns":1,"switch":1,"event":"pkt","args":[1]},
+                    {"time_ns":1,"switch":9,"event":"pkt","args":[1]}]}"#,
+                "scenario does not fit the program at `$.events[1].switch`: \
+                 switch 9 is not in the topology",
+            ),
+            (
+                r#"{"generators":[{"event":"pkt","switches":[1,7],"rate_eps":1,"count":1,
+                    "args":[1]}]}"#,
+                "scenario does not fit the program at `$.generators[0].switches[1]`: \
+                 switch 7 is not in the topology",
+            ),
+            (
+                r#"{"expect":{"per_event":{"nope":1}}}"#,
+                "scenario does not fit the program at `$.expect.per_event.nope`: \
+                 no event named `nope`",
+            ),
+            (
+                r#"{"name":"abc"#,
+                "scenario is not valid JSON (line 1, col 13): unterminated string",
+            ),
+            (
+                r#"{"name":"a\u12"}"#,
+                "scenario is not valid JSON (line 1, col 12): bad \\u escape",
+            ),
+        ];
+        for (doc, want) in cases {
+            let err = Scenario::from_json(doc)
+                .and_then(|sc| sc.validate(&p))
+                .unwrap_err();
+            assert_eq!(err.to_string(), want, "{doc}");
+        }
     }
 
     #[test]

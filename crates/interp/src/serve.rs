@@ -26,7 +26,7 @@
 
 use crate::bytecode::{ExecMode, OptLevel};
 use crate::scenario::{
-    generators_of, get, injections_of, json, json_escape, obj, req, str_of, u64_of, Scenario,
+    generators_of, get, injections_of, json, json_escape, obj, req, str_of, u64_of, Loc, Scenario,
     ScenarioError, SimOptions, SimRunError,
 };
 use crate::session::{SessionStatus, SimSession};
@@ -258,11 +258,12 @@ fn source_of(
     path_key: &str,
     what: &str,
 ) -> Result<Option<String>, ServeError> {
+    let root = Loc::Root("$");
     if let Some(j) = get(fields, key) {
-        return Ok(Some(proto(str_of(j, &format!("$.{key}")))?.to_string()));
+        return Ok(Some(proto(str_of(j, root.field(key)))?.to_string()));
     }
     if let Some(j) = get(fields, path_key) {
-        let path = proto(str_of(j, &format!("$.{path_key}")))?;
+        let path = proto(str_of(j, root.field(path_key)))?;
         return std::fs::read_to_string(path).map(Some).map_err(|e| {
             ServeError::new(
                 ErrorKind::Protocol,
@@ -705,12 +706,13 @@ pub mod socket {
 // ------------------------------------------------------------------- hex
 
 /// Lowercase hex, two digits per byte (snapshots ride inside JSON
-/// strings; base64 would save bytes but cost a dependency or a table).
+/// strings; base64 would save bytes but cost a dependency or a codec).
 pub fn hex_encode(bytes: &[u8]) -> String {
-    use std::fmt::Write as _;
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
     let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        let _ = write!(s, "{b:02x}");
+    for &b in bytes {
+        s.push(DIGITS[usize::from(b >> 4)] as char);
+        s.push(DIGITS[usize::from(b & 0xf)] as char);
     }
     s
 }
@@ -756,6 +758,8 @@ mod tests {
     #[test]
     fn hex_round_trips_and_rejects_garbage() {
         let bytes: Vec<u8> = (0..=255).collect();
+        let want: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex_encode(&bytes), want);
         assert_eq!(hex_decode(&hex_encode(&bytes)).unwrap(), bytes);
         assert!(hex_decode("abc").is_err());
         assert!(hex_decode("zz").is_err());

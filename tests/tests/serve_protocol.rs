@@ -236,6 +236,46 @@ fn snapshot_restore_round_trips_over_the_wire() {
 }
 
 #[test]
+fn megabyte_restore_lines_round_trip() {
+    // Completion is the linearity guard: a request parser that rescans
+    // the rest of the line per character never finishes this restore.
+    let (mut state, mut host) = (ServeState::new(), CheckHost);
+    let program = COUNTER.replace("(64)", "(65536)");
+    let open = format!(
+        "{{\"op\":\"open\",\"program\":{},\"scenario\":{}}}",
+        q(&program),
+        q(SCENARIO)
+    );
+    ask(&mut state, &mut host, &open);
+    ask(
+        &mut state,
+        &mut host,
+        "{\"op\":\"advance\",\"session\":1,\"to_ns\":100}",
+    );
+    let at_100 = ask(&mut state, &mut host, "{\"op\":\"query\",\"session\":1}");
+    let snap = ask(&mut state, &mut host, "{\"op\":\"snapshot\",\"session\":1}");
+    let hex = snap
+        .split("\"bytes\":\"")
+        .nth(1)
+        .and_then(|r| r.split('"').next())
+        .expect("hex payload");
+    let line = format!("{{\"op\":\"restore\",\"session\":1,\"bytes\":\"{hex}\"}}");
+    assert!(
+        line.len() >= 1 << 20,
+        "restore line is {} bytes",
+        line.len()
+    );
+
+    ask(
+        &mut state,
+        &mut host,
+        "{\"op\":\"advance\",\"session\":1,\"to_ns\":200}",
+    );
+    let reply = ask(&mut state, &mut host, &line);
+    assert_eq!(reply, at_100);
+}
+
+#[test]
 fn swap_reports_the_carry_statistics() {
     let (mut state, mut host) = (ServeState::new(), CheckHost);
     ask(&mut state, &mut host, &open_line());
