@@ -143,6 +143,24 @@ for sc in "${scenarios[@]}"; do
   done
 done
 
+# Resource budget: a program whose arrays cannot be built (4e9 cells)
+# is refused with a structured validate error before anything is
+# allocated, never an out-of-memory abort.
+echo "-- sim [cell budget] oversized array"
+budget_rc=0
+budget_json=$(target/release/lucidc sim --json \
+  <(printf 'global cts = new Array<<32>>(4000000000);\nevent pkt(int i);\nhandle pkt(int i) { Array.set(cts, i, 1); }\n') \
+  <(printf '{"events": [{"time_ns": 0, "switch": 1, "event": "pkt", "args": [3]}]}')) \
+  || budget_rc=$?
+case "$budget_json" in
+  *'"kind":"validate"'*'array `cts`'*'budget of 67108864 cells'*) ;;
+  *) echo "cell budget: want a structured validate error, got: $budget_json" >&2; exit 1 ;;
+esac
+if [ "$budget_rc" -ne 1 ]; then
+  echo "cell budget: want exit 1, got $budget_rc" >&2
+  exit 1
+fi
+
 echo "== workload scale"
 # The generator subsystem's scale proof: rescale the bundled dns_flood
 # scenario past one million injected events with `--events` (the stream
@@ -207,6 +225,20 @@ daemon = subprocess.Popen(
     [LUCIDC, "serve"], stdin=subprocess.PIPE, stdout=subprocess.PIPE,
     text=True)
 
+# One request line past serve::MAX_LINE_BYTES (64 MiB) comes first: the
+# daemon streams it past without buffering, answers with a protocol
+# error, and the session below must still land on the one-shot digests.
+MAX_LINE_BYTES = 64 << 20
+chunk = "x" * (1 << 20)
+for _ in range(MAX_LINE_BYTES // len(chunk)):
+    daemon.stdin.write(chunk)
+daemon.stdin.write("x\n")
+daemon.stdin.flush()
+refused = json.loads(daemon.stdout.readline())
+assert refused.get("ok") is False, refused
+assert refused["error"]["kind"] == "protocol", refused
+assert "exceeds" in refused["error"]["msg"], refused
+
 def ask(req):
     daemon.stdin.write(json.dumps(req) + "\n")
     daemon.stdin.flush()
@@ -239,8 +271,8 @@ if got != want:
     print(f"serve gate: served digests {got} != one-shot {want}",
           file=sys.stderr)
     sys.exit(1)
-print(f"-- serve gate: served session matches one-shot "
-      f"(state {got[0]}, metrics {got[1]})")
+print(f"-- serve gate: overlong line refused; served session matches "
+      f"one-shot (state {got[0]}, metrics {got[1]})")
 EOF
 
 echo "== bench smoke"

@@ -1571,6 +1571,11 @@ impl Interp {
         Metrics::from_acc(&self.metrics_acc)
     }
 
+    /// `self.metrics().digest()` without materializing the [`Metrics`].
+    pub(crate) fn metrics_digest(&self) -> u64 {
+        Metrics::digest_acc(&self.metrics_acc)
+    }
+
     /// Run with a generous default budget; most tests use this.
     pub fn run_to_quiescence(&mut self) -> Result<(), InterpError> {
         self.run(1_000_000, u64::MAX)

@@ -33,6 +33,7 @@
 //! min/max, so a report's p50/p90/p99/p999 are executor-independent too.
 
 use crate::scenario::json_escape;
+use crate::value::{fnv_mix, FNV_OFFSET, FNV_PRIME};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -198,14 +199,14 @@ impl Histogram {
     }
 
     /// Mix this histogram's observable content into an FNV-1a state.
-    fn digest_into(&self, mix: &mut impl FnMut(u64)) {
-        mix(self.count);
-        mix(self.sum);
-        mix(self.min());
-        mix(self.max);
-        for &b in &self.buckets {
-            mix(b);
+    fn digest_into(&self, mut h: u64) -> u64 {
+        for x in [self.count, self.sum, self.min(), self.max] {
+            h = fnv_mix::<FNV_PRIME>(h, x);
         }
+        for &b in &self.buckets {
+            h = fnv_mix::<FNV_PRIME>(h, b);
+        }
+        h
     }
 
     /// The four tail percentiles as a JSON fragment (plus exact bounds).
@@ -423,28 +424,28 @@ impl Metrics {
     /// when their metrics are bit-identical — the determinism check,
     /// same contract as `state_digest`.
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |x: u64| {
-            for i in 0..8 {
-                h ^= (x >> (8 * i)) & 0xff;
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
-        };
-        for c in &self.classes {
-            mix(c.switch);
-            for byte in c.event.as_bytes() {
-                mix(u64::from(*byte));
-            }
-            mix(c.hists.count);
-            c.hists.dispatch.digest_into(&mut mix);
-            c.hists.residency.digest_into(&mut mix);
-        }
-        h
+        digest_classes(
+            self.classes
+                .iter()
+                .map(|c| (c.switch, c.event.as_str(), &c.hists)),
+        )
+    }
+
+    /// [`Metrics::digest`] straight from the accumulator map, without
+    /// building (cloning) the `Metrics` first.
+    pub(crate) fn digest_acc(acc: &BTreeMap<(u64, String), ClassHists>) -> u64 {
+        digest_classes(acc.iter().map(|((s, e), h)| (*s, e.as_str(), h)))
     }
 
     /// The machine-readable form embedded in `lucidc sim --json` (and
     /// printed alone by `--metrics=json`).
     pub fn to_json(&self) -> String {
+        self.to_json_with_digest(self.digest())
+    }
+
+    /// [`Metrics::to_json`] with its digest already computed (a session
+    /// memoizes it per world change).
+    pub(crate) fn to_json_with_digest(&self, digest: u64) -> String {
         let classes: Vec<String> = self
             .classes
             .iter()
@@ -461,8 +462,7 @@ impl Metrics {
             })
             .collect();
         format!(
-            "{{\"digest\":\"{:016x}\",\"classes\":[{}]}}",
-            self.digest(),
+            "{{\"digest\":\"{digest:016x}\",\"classes\":[{}]}}",
             classes.join(",")
         )
     }
@@ -502,6 +502,22 @@ impl Metrics {
         let _ = writeln!(out, "  metrics digest: {:016x}", self.digest());
         out
     }
+}
+
+/// FNV-1a over `(switch, event, histograms)` classes in the order given
+/// (the callers iterate in sorted class order).
+fn digest_classes<'a>(classes: impl Iterator<Item = (u64, &'a str, &'a ClassHists)>) -> u64 {
+    let mut h = FNV_OFFSET;
+    for (switch, event, hists) in classes {
+        h = fnv_mix::<FNV_PRIME>(h, switch);
+        for byte in event.as_bytes() {
+            h = fnv_mix::<FNV_PRIME>(h, u64::from(*byte));
+        }
+        h = fnv_mix::<FNV_PRIME>(h, hists.count);
+        h = hists.dispatch.digest_into(h);
+        h = hists.residency.digest_into(h);
+    }
+    h
 }
 
 /// Which scalar a scenario `metrics` assertion reads off a class.

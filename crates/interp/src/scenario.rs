@@ -28,7 +28,16 @@ use crate::machine::{Engine, Interp, InterpError, NetConfig, Stats};
 /// let one line of JSON exhaust memory; this sits far above every bundled
 /// and benchmark topology (the largest has 16 switches).
 pub const MAX_SWITCHES: u64 = 1024;
+
+/// The most array cells a world may hold: every global array's length,
+/// summed, times the number of switches (each shard holds its own copy,
+/// eight bytes a cell). Checked before anything is allocated, so a
+/// program declaring `new Array<<32>>(4000000000)` is refused instead of
+/// aborting the process. 2^26 cells (512 MiB) leave room for the largest
+/// bundled program at [`MAX_SWITCHES`].
+pub const MAX_CELLS: u64 = 1 << 26;
 use crate::metrics::{MetricSel, Metrics};
+use crate::value::{fnv_mix, FNV_OFFSET, FNV_PRIME};
 use crate::workload::{ArgDist, GenSpec, Phase};
 use lucid_check::{mask, CheckedProgram};
 use std::fmt;
@@ -691,6 +700,7 @@ impl Scenario {
     /// arity, array name, switch id, array index, and initial cell value
     /// must fit.
     pub fn validate(&self, prog: &CheckedProgram) -> Result<(), ScenarioError> {
+        check_cell_budget(prog, self.switches.len())?;
         let known_switch = |s: u64| self.switches.contains(&s);
         let array_len = |name: &str| -> Option<u64> {
             prog.info
@@ -1228,22 +1238,16 @@ pub fn run_scenario_with(
 pub(crate) fn digest_state(prog: &CheckedProgram, sim: &Interp, switches: &[u64]) -> u64 {
     let mut sorted = switches.to_vec();
     sorted.sort_unstable();
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |x: u64| {
-        for i in 0..8 {
-            h ^= (x >> (8 * i)) & 0xff;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    };
+    let mut h = FNV_OFFSET;
     for s in sorted {
-        mix(s);
+        h = fnv_mix::<FNV_PRIME>(h, s);
         if !sim.alive(s) {
-            mix(u64::MAX); // failed switch marker
+            h = fnv_mix::<FNV_PRIME>(h, u64::MAX); // failed switch marker
             continue;
         }
         for g in &prog.info.globals {
             for &cell in sim.try_array(s, &g.name).expect("alive switch") {
-                mix(cell);
+                h = fnv_mix::<FNV_PRIME>(h, cell);
             }
         }
     }
@@ -1766,6 +1770,32 @@ fn f64_of(j: &json::Json, path: impl fmt::Display) -> Result<f64, ScenarioError>
             format!("expected a number, found {}", other.kind()),
         )),
     }
+}
+
+/// Refuse a world whose arrays, copied onto each of `switches` shards,
+/// would hold more than [`MAX_CELLS`] cells, naming the array that
+/// crosses the budget. Pure arithmetic: nothing is allocated.
+pub(crate) fn check_cell_budget(
+    prog: &CheckedProgram,
+    switches: usize,
+) -> Result<(), ScenarioError> {
+    let n = switches as u128;
+    let mut per_switch: u128 = 0;
+    for g in &prog.info.globals {
+        per_switch += u128::from(g.len);
+        let total = per_switch * n;
+        if total > u128::from(MAX_CELLS) {
+            return Err(ScenarioError::validate(
+                "$.net.switches",
+                format!(
+                    "array `{}` takes the world to {total} cells ({per_switch} per switch \
+                     × {n} switch(es)), over the budget of {MAX_CELLS} cells",
+                    g.name
+                ),
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// The structured refusal of a topology over [`MAX_SWITCHES`].
@@ -2343,6 +2373,38 @@ mod tests {
             matches!(&err, ScenarioError::Schema { path, .. } if path == "$.net.switches"),
             "{err:?}"
         );
+    }
+
+    #[test]
+    fn over_budget_arrays_are_refused_before_allocating() {
+        let prog = |len: u64| {
+            lucid_check::parse_and_check(&format!(
+                "global small = new Array<<32>>(16);\n\
+                 global cts = new Array<<32>>({len});\n\
+                 event pkt(int i);\n\
+                 handle pkt(int i) {{ Array.set(cts, i, 1); }}\n"
+            ))
+            .expect("checks")
+        };
+        let one = r#"{"events": [{"time_ns": 0, "switch": 1, "event": "pkt", "args": [3]}]}"#;
+        let one = Scenario::from_json(one).unwrap();
+        let mesh = Scenario::from_json(r#"{"net": {"switches": 1024}}"#).unwrap();
+        // Exactly at the budget fits (only validated here, never built).
+        let at = MAX_CELLS / 1024 - 16;
+        mesh.validate(&prog(at)).expect("at the budget");
+        for (sc, len) in [(&mesh, at + 1), (&one, 4_000_000_000), (&one, u64::MAX / 2)] {
+            // Running the world would allocate it; the refusal comes first.
+            let err = run_scenario_with(&prog(len), sc, &SimOptions::default()).unwrap_err();
+            let SimRunError::Scenario(ScenarioError::Validate { path, msg }) = err else {
+                panic!("{len}: {err:?}")
+            };
+            assert_eq!(path, "$.net.switches");
+            assert!(msg.contains("array `cts`"), "{msg}");
+            assert!(
+                msg.contains(&format!("budget of {MAX_CELLS} cells")),
+                "{msg}"
+            );
+        }
     }
 
     #[test]

@@ -470,10 +470,7 @@ fn op_query(state: &mut ServeState, fields: &[(String, json::Json)]) -> Result<S
         extra.push_str(&format!(",\"array\":[{}]", rendered.join(",")));
     }
     if matches!(get(fields, "metrics"), Some(json::Json::Bool(true))) {
-        extra.push_str(&format!(
-            ",\"metrics\":{}",
-            session.world().metrics().to_json()
-        ));
+        extra.push_str(&format!(",\"metrics\":{}", session.metrics_json()));
     }
     Ok(format!(
         "{{\"ok\":true,{}{extra}}}",
@@ -524,7 +521,7 @@ fn op_swap(
         .swap_program(id, &source)
         .map_err(|msg| ServeError::new(ErrorKind::Swap, msg))?;
     let session = state.sessions.get_mut(&id).expect("checked");
-    let stats = session.swap(prog);
+    let stats = session.swap(prog)?;
     Ok(format!(
         "{{\"ok\":true,\"session\":{id},\"arrays_carried\":{},\"arrays_reset\":{},\
          \"queued_remapped\":{},\"queued_dropped\":{},\"sources_disabled\":{}}}",
@@ -589,30 +586,93 @@ fn op_shutdown(state: &mut ServeState, host: &mut dyn ProgramHost) -> Result<Str
 
 // ------------------------------------------------------------- transport
 
+/// The longest request line either transport accepts, in bytes (its
+/// `\n` excluded). Every request is buffered whole before parsing, so
+/// this bounds what one line can make the daemon hold. The largest
+/// request is a `restore`, at two hex digits per snapshot byte (about 16
+/// per array cell); 64 MiB covers worlds of some four million cells.
+pub const MAX_LINE_BYTES: usize = 64 << 20;
+
+/// Read the next line into `buf` (cleared first), without its line
+/// ending, keeping at most [`MAX_LINE_BYTES`] of it: the rest of an
+/// overlong line is consumed and dropped as it streams past, never
+/// buffered. `None` at end of input; otherwise whether the line fit.
+fn read_line_bounded<R: BufRead>(input: &mut R, buf: &mut Vec<u8>) -> io::Result<Option<bool>> {
+    buf.clear();
+    let mut fits = true;
+    let mut seen = false;
+    loop {
+        let avail = match input.fill_buf() {
+            Ok(avail) => avail,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if avail.is_empty() {
+            return Ok(seen.then_some(fits));
+        }
+        seen = true;
+        let newline = avail.iter().position(|&b| b == b'\n');
+        let chunk = &avail[..newline.unwrap_or(avail.len())];
+        if fits && buf.len() + chunk.len() <= MAX_LINE_BYTES {
+            buf.extend_from_slice(chunk);
+        } else {
+            fits = false;
+            buf.clear();
+        }
+        let used = chunk.len() + usize::from(newline.is_some());
+        input.consume(used);
+        if newline.is_some() {
+            if buf.last() == Some(&b'\r') {
+                buf.pop();
+            }
+            return Ok(Some(fits));
+        }
+    }
+}
+
+/// The next request line from a transport, or the protocol error that
+/// refuses it unparsed (over [`MAX_LINE_BYTES`], or not UTF-8). Both
+/// leave the connection usable for the next line.
+fn next_request<'b, R: BufRead>(
+    input: &mut R,
+    buf: &'b mut Vec<u8>,
+) -> io::Result<Option<Result<&'b str, ServeError>>> {
+    Ok(read_line_bounded(input, buf)?.map(|fits| {
+        if !fits {
+            return Err(ServeError::new(
+                ErrorKind::Protocol,
+                format!("request line exceeds {MAX_LINE_BYTES} bytes; discarded"),
+            ));
+        }
+        std::str::from_utf8(buf).map_err(|e| {
+            ServeError::new(
+                ErrorKind::Protocol,
+                format!("request line is not valid UTF-8: {e}"),
+            )
+        })
+    }))
+}
+
 /// The stdin/stdout daemon loop: one request line in, one reply line
 /// out, until EOF or `shutdown`. Returns whether `shutdown` was the
 /// reason for stopping.
 pub fn serve_lines<R: BufRead, W: Write>(
     state: &mut ServeState,
     host: &mut dyn ProgramHost,
-    input: R,
+    mut input: R,
     mut output: W,
 ) -> io::Result<bool> {
-    for line in input.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        match handle_line(state, host, &line) {
-            Outcome::Reply(reply) => {
-                writeln!(output, "{reply}")?;
-                output.flush()?;
-            }
-            Outcome::Shutdown(reply) => {
-                writeln!(output, "{reply}")?;
-                output.flush()?;
-                return Ok(true);
-            }
+    let mut buf = Vec::new();
+    while let Some(request) = next_request(&mut input, &mut buf)? {
+        let outcome = match request {
+            Ok(line) if line.trim().is_empty() => continue,
+            Ok(line) => handle_line(state, host, line),
+            Err(e) => Outcome::Reply(e.to_json()),
+        };
+        writeln!(output, "{}", outcome.reply())?;
+        output.flush()?;
+        if let Outcome::Shutdown(_) = outcome {
+            return Ok(true);
         }
     }
     Ok(false)
@@ -621,8 +681,8 @@ pub fn serve_lines<R: BufRead, W: Write>(
 /// Unix-socket transport: concurrent connections over one shared world.
 #[cfg(unix)]
 pub mod socket {
-    use super::{handle_line, Outcome, ProgramHost, ServeState};
-    use std::io::{self, BufRead, Write};
+    use super::{handle_line, next_request, Outcome, ProgramHost, ServeState};
+    use std::io::{self, Write};
     use std::os::unix::net::{UnixListener, UnixStream};
     use std::path::Path;
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -672,20 +732,23 @@ pub mod socket {
         done: &AtomicBool,
         sock: &Path,
     ) -> io::Result<()> {
-        let reader = io::BufReader::new(stream.try_clone()?);
+        let mut reader = io::BufReader::new(stream.try_clone()?);
         let mut writer = stream;
-        for line in reader.lines() {
-            let line = line?;
-            if line.trim().is_empty() {
+        let mut buf = Vec::new();
+        while let Some(request) = next_request(&mut reader, &mut buf)? {
+            if matches!(request, Ok(line) if line.trim().is_empty()) {
                 continue;
             }
             if done.load(Ordering::SeqCst) {
                 break;
             }
-            let outcome = {
-                let mut guard = shared.lock().expect("serve state poisoned");
-                let Shared { state, host } = &mut *guard;
-                handle_line(state, host, &line)
+            let outcome = match request {
+                Ok(line) => {
+                    let mut guard = shared.lock().expect("serve state poisoned");
+                    let Shared { state, host } = &mut *guard;
+                    handle_line(state, host, line)
+                }
+                Err(e) => Outcome::Reply(e.to_json()),
             };
             match outcome {
                 Outcome::Reply(reply) => writeln!(writer, "{reply}")?,

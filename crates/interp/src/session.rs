@@ -15,12 +15,13 @@
 use crate::machine::{Engine, Interp, SwapStats};
 use crate::metrics::Metrics;
 use crate::scenario::{
-    check_expectations, check_metric_expectations, digest_state, FailureAction, FailureKind,
-    Injection, Scenario, ScenarioError, SimOptions, SimReport, SimRunError,
+    check_cell_budget, check_expectations, check_metric_expectations, digest_state, FailureAction,
+    FailureKind, Injection, Scenario, ScenarioError, SimOptions, SimReport, SimRunError,
 };
 use crate::snap;
 use crate::workload::{GenSpec, Workload};
 use lucid_check::CheckedProgram;
+use std::cell::OnceCell;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -121,6 +122,11 @@ pub struct SimSession {
     check_expect: bool,
     /// Busy wall-clock seconds accumulated across `advance` calls.
     wall_s: f64,
+    /// `(state_digest, metrics_digest)` of the world as it stands,
+    /// computed on first read and cleared by every `&mut self` method
+    /// (`drain` through `advance`), so a `query` after an `advance`
+    /// reuses the advance's pass.
+    digests: OnceCell<(u64, u64)>,
     engine: &'static str,
     exec: &'static str,
     opt: &'static str,
@@ -220,6 +226,7 @@ impl SimSession {
             gen_names,
             check_expect,
             wall_s: t0.elapsed().as_secs_f64(),
+            digests: OnceCell::new(),
             engine,
             exec,
             opt,
@@ -253,6 +260,7 @@ impl SimSession {
     /// step — the driver pauses exactly at a time horizon, and the
     /// fault schedule already segments one-shot runs the same way.
     pub fn advance(&mut self, to_ns: u64) -> Result<(), SimRunError> {
+        self.digests.take();
         let t0 = Instant::now();
         let res = self.advance_inner(to_ns.min(self.sc.max_time_ns));
         self.wall_s += t0.elapsed().as_secs_f64();
@@ -289,6 +297,7 @@ impl SimSession {
     /// events the one-shot scenario does not have voids its authored
     /// expectations (digests and stats still report).
     pub fn ingest(&mut self, batch: &[Injection]) -> Result<(), SimRunError> {
+        self.digests.take();
         for inj in batch {
             self.sim
                 .schedule(inj.switch, inj.time_ns, &inj.event, &inj.args)?;
@@ -302,6 +311,7 @@ impl SimSession {
     /// Attach a generator spec mid-run, compiled with the session's
     /// effective seed. Returns its source slot.
     pub fn attach_generator(&mut self, spec: &GenSpec) -> Result<usize, SimRunError> {
+        self.digests.take();
         let seed = self.opts.seed.unwrap_or(self.sc.seed);
         let slot = self
             .sim
@@ -314,6 +324,7 @@ impl SimSession {
 
     /// The session's current status and digests (the serve `query` verb).
     pub fn status(&self) -> SessionStatus {
+        let (state_digest, metrics_digest) = self.digests();
         SessionStatus {
             now_ns: self.sim.now_ns,
             pending: self.sim.pending(),
@@ -321,9 +332,26 @@ impl SimSession {
             processed: self.sim.stats.processed,
             handled: self.sim.stats.handled,
             dropped: self.sim.stats.dropped,
-            state_digest: digest_state(&self.prog, &self.sim, &self.sc.switches),
-            metrics_digest: self.sim.metrics().digest(),
+            state_digest,
+            metrics_digest,
         }
+    }
+
+    /// The memoized `(state_digest, metrics_digest)` pair: one pass over
+    /// the world's cells per world change.
+    fn digests(&self) -> (u64, u64) {
+        *self.digests.get_or_init(|| {
+            (
+                digest_state(&self.prog, &self.sim, &self.sc.switches),
+                self.sim.metrics_digest(),
+            )
+        })
+    }
+
+    /// The world's metrics as JSON (the serve `query` verb's `metrics`
+    /// field), reusing the memoized digest.
+    pub fn metrics_json(&self) -> String {
+        self.sim.metrics().to_json_with_digest(self.digests().1)
     }
 
     /// Encode the full world — session cursor included — into the
@@ -354,6 +382,7 @@ impl SimSession {
     /// anything is touched. Corrupted bytes yield a structured
     /// [`SimRunError::Snapshot`], never a panic.
     pub fn restore(&mut self, bytes: &[u8]) -> Result<(), SimRunError> {
+        self.digests.take();
         self.restore_inner(bytes)
             .map_err(|e| SimRunError::Snapshot(e.to_string()))
     }
@@ -401,12 +430,18 @@ impl SimSession {
     /// Hot-swap the running program for a new epoch. State carries over
     /// where compatible (see [`Interp::swap_program`]); the caller has
     /// already typechecked `new` — a program that fails typecheck never
-    /// reaches this method. Authored expectations are voided.
-    pub fn swap(&mut self, new: Arc<CheckedProgram>) -> SwapStats {
+    /// reaches this method. A program whose arrays would exceed
+    /// [`MAX_CELLS`](crate::scenario::MAX_CELLS) on this topology is
+    /// refused before anything is allocated, leaving the session as it
+    /// was. Authored expectations are voided.
+    pub fn swap(&mut self, new: Arc<CheckedProgram>) -> Result<SwapStats, SimRunError> {
+        check_cell_budget(&new, self.sc.switches.len())
+            .map_err(|e| SimRunError::Swap(e.to_string()))?;
+        self.digests.take();
         let stats = self.sim.swap_program(Arc::clone(&new));
         self.prog = new;
         self.check_expect = false;
-        stats
+        Ok(stats)
     }
 
     /// Run the world to completion — the scenario horizon, with every
@@ -446,7 +481,7 @@ impl SimSession {
             check_expectations(&self.sim, &self.sc.expect, &mut mismatches);
             check_metric_expectations(&metrics, &self.sc.metrics, &mut mismatches);
         }
-        let state_digest = digest_state(&self.prog, &self.sim, &self.sc.switches);
+        let (state_digest, _) = self.digests();
         let gens = self
             .gen_names
             .iter()
@@ -477,5 +512,111 @@ impl SimSession {
             metrics,
             mismatches,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const COUNTER: &str = r#"
+global cts = new Array<<32>>(64);
+memop plus(int m, int x) { return m + x; }
+event pkt(int idx);
+handle pkt(int idx) {
+  Array.setm(cts, idx, plus, 1);
+  if (idx < 60) { generate Event.delay(pkt(idx + 1), 50); }
+}
+"#;
+
+    const SCENARIO: &str = r#"{
+  "name": "memo",
+  "net": {"switches": 2},
+  "limits": {"max_events": 100000},
+  "events": [{"time_ns": 0, "switch": 1, "event": "pkt", "args": [3]}],
+  "generators": [
+    {"name": "g", "event": "pkt", "switch": 2, "rate_eps": 1000000, "count": 20,
+     "args": [{"uniform": [0, 40]}]}
+  ]
+}"#;
+
+    /// The status digests, checked against a fresh computation that
+    /// shares nothing with the memo (the metrics side goes through a
+    /// materialized `Metrics`).
+    fn fresh_status(s: &SimSession) -> (u64, u64) {
+        let st = s.status();
+        let fresh = (
+            digest_state(&s.prog, &s.sim, &s.sc.switches),
+            s.sim.metrics().digest(),
+        );
+        assert_eq!((st.state_digest, st.metrics_digest), fresh);
+        fresh
+    }
+
+    #[test]
+    fn status_digests_follow_every_world_change() {
+        let prog = Arc::new(lucid_check::parse_and_check(COUNTER).expect("checks"));
+        let sc = Scenario::from_json(SCENARIO).expect("parses");
+        let mut s =
+            SimSession::open_arc(Arc::clone(&prog), &sc, &SimOptions::default()).expect("opens");
+        let opened = fresh_status(&s);
+
+        s.advance(2_000).expect("advances");
+        let first = fresh_status(&s);
+        assert_ne!(first, opened);
+        // A second advance must not reuse the first one's digests.
+        s.advance(20_000).expect("advances");
+        let second = fresh_status(&s);
+        assert_ne!(second, first);
+        let snap = s.snapshot().expect("snapshots");
+
+        s.ingest(&[Injection {
+            time_ns: 30_000,
+            switch: 2,
+            event: "pkt".into(),
+            args: vec![9],
+        }])
+        .expect("ingests");
+        fresh_status(&s);
+        s.attach_generator(&sc.generators[0]).expect("attaches");
+        fresh_status(&s);
+        s.advance(60_000).expect("advances");
+        let ingested = fresh_status(&s);
+        assert_ne!(ingested, second);
+
+        s.restore(&snap).expect("restores");
+        assert_eq!(fresh_status(&s), second);
+
+        let wider = COUNTER.replace("(64)", "(64);\nglobal more = new Array<<32>>(8)");
+        let wider = Arc::new(lucid_check::parse_and_check(&wider).expect("checks"));
+        s.swap(wider).expect("swaps");
+        assert_ne!(fresh_status(&s).0, second.0);
+
+        let report = s.drain().expect("drains");
+        let drained = fresh_status(&s);
+        assert_eq!(report.state_digest, drained.0);
+        assert_eq!(report.metrics.digest(), drained.1);
+        assert_ne!(drained, second);
+    }
+
+    #[test]
+    fn over_budget_swap_is_refused_before_it_allocates() {
+        let prog = Arc::new(lucid_check::parse_and_check(COUNTER).expect("checks"));
+        let sc = Scenario::from_json(SCENARIO).expect("parses");
+        let mut s = SimSession::open_arc(prog, &sc, &SimOptions::default()).expect("opens");
+        s.advance(2_000).expect("advances");
+        let before = fresh_status(&s);
+        // Each switch alone fits the budget; two copies do not.
+        let half = crate::scenario::MAX_CELLS / 2 + 1;
+        let huge = COUNTER.replace(
+            "(64)",
+            &format!("(64);\nglobal big = new Array<<8>>({half})"),
+        );
+        let huge = Arc::new(lucid_check::parse_and_check(&huge).expect("checks"));
+        let err = s.swap(huge).expect_err("over budget").to_string();
+        assert!(err.starts_with("swap rejected:"), "{err}");
+        assert!(err.contains("array `big`"), "{err}");
+        assert_eq!(fresh_status(&s), before);
+        s.advance(4_000).expect("still runs");
     }
 }

@@ -93,18 +93,59 @@ impl fmt::Display for Value {
     }
 }
 
+/// FNV-1a offset basis: the starting state of every digest and hash.
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// The 64-bit FNV prime, used by the state and metrics digests.
+pub(crate) const FNV_PRIME: u64 = 0x100_0000_01b3;
+
+/// The multiplier [`lucid_hash`] has always used. It is not the FNV
+/// prime, but every hash value a program computes depends on it, so it
+/// stays.
+pub(crate) const HASH_PRIME: u64 = 0x1000_0000_01b3;
+
+/// `p^n` in wrapping arithmetic (for the folded rounds of [`fnv_mix`]).
+const fn wrapping_pow(p: u64, n: u32) -> u64 {
+    let mut r = 1u64;
+    let mut i = 0;
+    while i < n {
+        r = r.wrapping_mul(p);
+        i += 1;
+    }
+    r
+}
+
+/// Mix one word into an FNV-1a-style state: the eight little-endian
+/// bytes of `x`, each as `h = (h ^ byte) * P`. A zero byte leaves the
+/// XOR a no-op, so runs of zero bytes fold into one multiply: an
+/// all-zero upper half costs one multiply by `P^4`, a zero word one
+/// multiply by `P^8`. The result is bit-identical to eight rounds.
+#[inline]
+pub(crate) fn fnv_mix<const P: u64>(mut h: u64, x: u64) -> u64 {
+    if x == 0 {
+        return h.wrapping_mul(const { wrapping_pow(P, 8) });
+    }
+    for i in 0..4 {
+        h = (h ^ ((x >> (8 * i)) & 0xff)).wrapping_mul(P);
+    }
+    let hi = x >> 32;
+    if hi == 0 {
+        return h.wrapping_mul(const { wrapping_pow(P, 4) });
+    }
+    for i in 0..4 {
+        h = (h ^ ((hi >> (8 * i)) & 0xff)).wrapping_mul(P);
+    }
+    h
+}
+
 /// The deterministic hash used by `hash<<w>>(seed, args..)` in both the
 /// interpreter and the Tofino model: a 64-bit FNV-1a-style mix, truncated.
 /// Determinism matters — the same program must behave identically in the
 /// interpreter and in simulation-backed benches.
 pub fn lucid_hash(width: u32, seed: u64, args: &[u64]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    let mut h = FNV_OFFSET ^ seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
     for &a in args {
-        for i in 0..8 {
-            let byte = (a >> (8 * i)) & 0xff;
-            h ^= byte;
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
+        h = fnv_mix::<HASH_PRIME>(h, a);
     }
     // Final avalanche so low-entropy inputs spread over narrow widths.
     h ^= h >> 33;
@@ -141,6 +182,55 @@ mod tests {
             seen.insert(lucid_hash(8, 0, &[i]));
         }
         assert!(seen.len() > 140, "only {} distinct buckets", seen.len());
+    }
+
+    /// The eight explicit byte rounds `fnv_mix` must reproduce.
+    fn byte_rounds<const P: u64>(mut h: u64, x: u64) -> u64 {
+        for i in 0..8 {
+            h ^= (x >> (8 * i)) & 0xff;
+            h = h.wrapping_mul(P);
+        }
+        h
+    }
+
+    #[test]
+    fn fnv_mix_equals_the_byte_loop_for_both_primes() {
+        let mut words = vec![
+            0,
+            1,
+            0xff,
+            0x100,
+            0xffff_ffff,
+            1 << 32,
+            (1 << 32) + 1,
+            u64::MAX,
+        ];
+        words.extend((0..64).map(|k| 1u64 << k));
+        // A seeded xorshift covers words of every byte pattern.
+        let mut s: u64 = 0x2545_f491_4f6c_dd1d;
+        for _ in 0..10_000 {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            // Vary the significant width so short words are common too.
+            words.push(s >> (s % 64));
+        }
+        let mut h = FNV_OFFSET;
+        for &x in &words {
+            for seed in [FNV_OFFSET, h, 0, u64::MAX] {
+                assert_eq!(
+                    fnv_mix::<FNV_PRIME>(seed, x),
+                    byte_rounds::<FNV_PRIME>(seed, x),
+                    "digest prime, h={seed:#x}, x={x:#x}"
+                );
+                assert_eq!(
+                    fnv_mix::<HASH_PRIME>(seed, x),
+                    byte_rounds::<HASH_PRIME>(seed, x),
+                    "hash prime, h={seed:#x}, x={x:#x}"
+                );
+            }
+            h = byte_rounds::<FNV_PRIME>(h, x);
+        }
     }
 
     #[test]

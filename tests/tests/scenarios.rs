@@ -262,6 +262,24 @@ fn bundled_scenarios_all_pass() {
     );
 }
 
+/// The cell budget leaves every bundled program room at the switch cap
+/// (validated only: nothing is built).
+#[test]
+fn bundled_programs_fit_the_cell_budget_at_the_switch_cap() {
+    let max = lucid_core::interp::scenario::MAX_SWITCHES;
+    let mesh = Scenario::from_json(&format!(r#"{{"net": {{"switches": {max}}}}}"#)).unwrap();
+    let dir = repo_root().join("crates/apps/programs");
+    let mut checked_apps = 0;
+    for entry in std::fs::read_dir(&dir).expect("programs dir exists") {
+        let path = entry.unwrap().path();
+        let src = std::fs::read_to_string(&path).unwrap();
+        mesh.validate(&checked(&src))
+            .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        checked_apps += 1;
+    }
+    assert!(checked_apps >= 10, "checked {checked_apps} programs");
+}
+
 /// Every bundled scenario must be independent of the handler engine:
 /// identical final state digest, statistics, and metrics under the AST
 /// walker and the bytecode executor at every opt level.

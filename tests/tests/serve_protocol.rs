@@ -161,6 +161,37 @@ fn advance_and_query_report_deterministic_status() {
     assert!(reply.contains("\"metrics\":{"), "{reply}");
 }
 
+/// The status part of an `advance`/`query`/`restore` reply.
+fn status_of(reply: &str) -> &str {
+    let start = reply.find("\"session\"").expect("status in reply");
+    let end = reply.find("\"metrics_digest\":\"").expect("metrics digest") + 36;
+    &reply[start..end]
+}
+
+#[test]
+fn queries_between_advances_see_the_latest_digests() {
+    let (mut state, mut host) = (ServeState::new(), CheckHost);
+    ask(&mut state, &mut host, &open_line());
+    let query = "{\"op\":\"query\",\"session\":1}";
+    let mut seen = Vec::new();
+    for to in [0, 100, 200] {
+        let advanced = ask(
+            &mut state,
+            &mut host,
+            &format!("{{\"op\":\"advance\",\"session\":1,\"to_ns\":{to}}}"),
+        );
+        let queried = ask(&mut state, &mut host, query);
+        assert_eq!(status_of(&queried), status_of(&advanced));
+        seen.push(status_of(&queried).to_string());
+    }
+    // Every advance ran an event on a counter, so each digest is new.
+    assert_ne!(seen[0], seen[1]);
+    assert_ne!(seen[1], seen[2]);
+    let digest = |s: &str| s.split("\"state_digest\":").nth(1).unwrap().to_string();
+    assert_ne!(digest(&seen[0]), digest(&seen[1]));
+    assert_ne!(digest(&seen[1]), digest(&seen[2]));
+}
+
 #[test]
 fn ingest_schedules_events_and_attaches_generators() {
     let (mut state, mut host) = (ServeState::new(), CheckHost);
@@ -446,6 +477,93 @@ fn swap_that_fails_the_typecheck_is_rejected_and_harmless() {
     // The session survives a rejected swap, world intact.
     let reply = ask(&mut state, &mut host, "{\"op\":\"drain\",\"session\":1}");
     assert!(reply.contains("\"events_handled\":3"), "{reply}");
+}
+
+#[test]
+fn over_budget_worlds_are_refused_on_open_and_swap() {
+    let huge = COUNTER.replace("(64)", "(4000000000)");
+    let (mut state, mut host) = (ServeState::new(), CheckHost);
+    let open = format!(
+        "{{\"op\":\"open\",\"program\":{},\"scenario\":{}}}",
+        q(&huge),
+        q(SCENARIO)
+    );
+    let reply = ask(&mut state, &mut host, &open);
+    assert!(reply.contains("\"kind\":\"scenario\""), "{reply}");
+    assert!(reply.contains("array `cts`"), "{reply}");
+    assert!(state.is_empty());
+
+    // A refused open allocates no id: this is session 1.
+    ask(&mut state, &mut host, &open_line());
+    let query = "{\"op\":\"query\",\"session\":1}";
+    ask(
+        &mut state,
+        &mut host,
+        "{\"op\":\"advance\",\"session\":1,\"to_ns\":100}",
+    );
+    let before = ask(&mut state, &mut host, query);
+    let reply = ask(
+        &mut state,
+        &mut host,
+        &format!("{{\"op\":\"swap\",\"session\":1,\"program\":{}}}", q(&huge)),
+    );
+    assert!(reply.contains("\"kind\":\"swap\""), "{reply}");
+    assert!(reply.contains("array `cts`"), "{reply}");
+    assert!(reply.contains("budget of 67108864 cells"), "{reply}");
+    // Refused before anything changed: same world, still running.
+    assert_eq!(ask(&mut state, &mut host, query), before);
+    let reply = ask(&mut state, &mut host, "{\"op\":\"drain\",\"session\":1}");
+    assert!(reply.contains("\"events_handled\":3"), "{reply}");
+}
+
+#[test]
+fn overlong_and_non_utf8_lines_are_refused_and_the_stream_continues() {
+    use lucid_core::interp::serve::MAX_LINE_BYTES;
+    use std::io::Read;
+
+    let scripted = format!(
+        "{}\n{{\"op\":\"advance\",\"session\":1,\"to_ns\":100}}\n",
+        open_line()
+    );
+    let query = "{\"op\":\"query\",\"session\":1}\n";
+    let run = |input: &mut dyn std::io::BufRead| {
+        let (mut state, mut host) = (ServeState::new(), CheckHost);
+        let mut out = Vec::new();
+        let shutdown =
+            lucid_core::serve_lines(&mut state, &mut host, input, &mut out).expect("serves");
+        assert!(!shutdown);
+        String::from_utf8(out).expect("utf-8 replies")
+    };
+
+    let clean = run(&mut format!("{scripted}{query}").as_bytes());
+    let want: Vec<&str> = clean.lines().collect();
+    assert_eq!(want.len(), 3, "{clean}");
+
+    // One byte over the cap, streamed: the reader drops it as it goes.
+    let overlong = std::io::repeat(b'x').take(MAX_LINE_BYTES as u64 + 1);
+    let tail = format!("\n{query}");
+    let mut input =
+        std::io::BufReader::new(scripted.as_bytes().chain(overlong).chain(tail.as_bytes()));
+    let got = run(&mut input);
+    let got: Vec<&str> = got.lines().collect();
+    assert_eq!(got.len(), 4, "{got:?}");
+    assert_eq!(got[..2], want[..2]);
+    assert!(
+        got[2].starts_with("{\"ok\":false,\"error\":{\"kind\":\"protocol\""),
+        "{}",
+        got[2]
+    );
+    assert!(got[2].contains(&format!("exceeds {MAX_LINE_BYTES} bytes")));
+    assert_eq!(got[3], want[2]);
+
+    let mut bad = scripted.clone().into_bytes();
+    bad.extend_from_slice(b"{\"op\":\"qu\xffery\"}\n");
+    bad.extend_from_slice(query.as_bytes());
+    let got = run(&mut bad.as_slice());
+    let got: Vec<&str> = got.lines().collect();
+    assert!(got[2].contains("\"kind\":\"protocol\""), "{}", got[2]);
+    assert!(got[2].contains("not valid UTF-8"), "{}", got[2]);
+    assert_eq!(got[3], want[2]);
 }
 
 #[test]
